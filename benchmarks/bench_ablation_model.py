@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis import IRDropAnalyzer
+from repro.analysis import BatchedAnalysisEngine
 from repro.core import format_table
 from repro.grid import GridBuilder
 from repro.io import write_csv
@@ -74,7 +74,7 @@ def test_ablation_kirchhoff_vs_full_solve(benchmark, benchmark_cache, results_di
         network = GridBuilder(prepared.benchmark.technology).build(
             prepared.benchmark.floorplan, prepared.benchmark.topology, widths
         )
-        full = IRDropAnalyzer().analyze(network)
+        full = BatchedAnalysisEngine().analyze(network)
         full_time = time.perf_counter() - start
 
         estimator = prepared.framework.ir_estimator

@@ -17,7 +17,7 @@ import numpy as np
 
 from conftest import suite_names
 
-from repro.analysis import IRDropAnalyzer, ir_drop_map
+from repro.analysis import BatchedAnalysisEngine, ir_drop_map
 from repro.core import compare_worst_ir_drop, format_table
 from repro.io import ascii_heatmap, write_csv, write_json, write_matrix
 
@@ -38,7 +38,9 @@ def test_table3_worst_case_ir_drop(benchmark, benchmark_cache, results_dir):
         )
 
     prepared2 = benchmark_cache.get("ibmpg2")
-    benchmark(IRDropAnalyzer().analyze, prepared2.golden_plan.network)
+    # A new engine per call: a shared one would serve every repeat from
+    # its factor cache instead of timing a fresh solve.
+    benchmark(lambda: BatchedAnalysisEngine().analyze(prepared2.golden_plan.network))
 
     print()
     print(

@@ -10,8 +10,9 @@ The package is organised as:
 
 * :mod:`repro.grid` — power-grid network model, floorplans, SPICE netlists,
   synthetic IBM-style benchmarks, perturbation engine;
-* :mod:`repro.analysis` — conventional MNA-based IR-drop analysis, EM
-  checking, vectorless bounds (the baseline's substrate);
+* :mod:`repro.analysis` — the cached-factorization nodal analysis engine,
+  IR-drop results, EM checking, vectorless bounds (the baseline's
+  substrate);
 * :mod:`repro.design` — the conventional iterative power planner, analytical
   sizing and reliability constraints;
 * :mod:`repro.nn` — from-scratch NumPy neural-network stack (layers, Adam,
@@ -35,7 +36,7 @@ Quickstart::
     print(framework.evaluate(test_set))
 """
 
-from .analysis import BatchedAnalysisEngine, EMChecker, IRDropAnalyzer, PowerGridSolver
+from .analysis import BatchedAnalysisEngine, EMChecker
 from .core import (
     DatasetBuilder,
     FeatureExtractor,
@@ -70,11 +71,9 @@ __all__ = [
     "FeatureExtractor",
     "Floorplan",
     "GridBuilder",
-    "IRDropAnalyzer",
     "KirchhoffIRDropEstimator",
     "MultiTargetRegressor",
     "PowerGridNetwork",
-    "PowerGridSolver",
     "PowerPlanningDL",
     "PredictedDesign",
     "RegressorConfig",

@@ -13,9 +13,8 @@ factorization — produced by a pluggable solver backend
 (:mod:`repro.analysis.solvers`): SuperLU by default, CHOLMOD when
 ``scikit-sparse`` is installed — keyed on the compiled grid's topology
 fingerprint, and solves arbitrarily many right-hand sides against one
-factorization — either one at a time (:meth:`analyze`, a drop-in
-replacement for :class:`~repro.analysis.irdrop.IRDropAnalyzer`) or as a
-single multi-RHS triangular solve (:meth:`analyze_batch`).  Grids derived
+factorization — either one at a time (:meth:`analyze`) or as a single
+multi-RHS triangular solve (:meth:`analyze_batch`).  Grids derived
 by a conductance-only change
 (:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`, the
 planner's resize step) are served by **low-rank incremental updates** of
@@ -61,22 +60,23 @@ from .executors import (
     make_executor,
 )
 from .irdrop import IRDropResult
-from .mna import system_from_compiled
 from .sinks import IRDropSink, ScenarioSink
-# The legacy module still owns the CG fallback solver and the method
-# enum; LinearSolverError moved to .solvers (its canonical home).
-from .solver import PowerGridSolver, SolverMethod  # reprolint: disable=RPR005
 from .solvers import (
     Factorization,
     LinearSolverError,
     UpdateDivergenceError,
     UpdatePolicy,
+    cg_solve,
     make_update_factorization,
     resolve_solver_backend,
 )
 
 ENGINE_METHOD = "cached_lu"
 """Solver-method tag recorded in results produced by the engine."""
+
+CG_METHOD = "cg"
+"""Solver-method tag of results solved by the CG fallback
+(:func:`~repro.analysis.solvers.cg_solve`)."""
 
 WORKERS_ENV = "REPRO_TEST_WORKERS"
 """Environment variable supplying the engine's default ``workers`` count.
@@ -438,17 +438,10 @@ class BatchAnalysisResult:
 
     def result(self, scenario: int) -> IRDropResult:
         """Materialise one scenario as a full :class:`IRDropResult`."""
-        voltages = self._require_voltages()[:, scenario]
-        drops = self.ir_drop[:, scenario]
-        compiled = self.compiled
-        return IRDropResult(
-            network_name=self.scenario_names[scenario],
-            vdd=compiled.vdd,
-            node_voltages=compiled.voltages_dict(voltages),
-            node_ir_drop=compiled.voltages_dict(drops),
-            worst_ir_drop=float(self.worst_ir_drop[scenario]),
-            worst_node=self.worst_node(scenario),
-            average_ir_drop=float(self.average_ir_drop[scenario]),
+        return IRDropResult.from_voltages(
+            self.compiled,
+            self._require_voltages()[:, scenario],
+            name=self.scenario_names[scenario],
             analysis_time=self.analysis_time / max(1, self.num_scenarios),
             solver_method=self.solver_method,
             solver_iterations=(
@@ -563,19 +556,18 @@ class MegaSweepResult(StreamedSweepResult):
 class BatchedAnalysisEngine:
     """IR-drop analysis with a cross-solve sparse-factorization cache.
 
-    The engine quacks like :class:`~repro.analysis.irdrop.IRDropAnalyzer`
-    (its :meth:`analyze` signature and result type are identical), so it can
-    be handed to every consumer that previously owned an analyzer — the
-    planner, the vectorless analyzer, the CLI.  On top of that it offers
-    batched multi-RHS solving for sweeps where only the loads change.
+    The engine is the repository's one nodal solver: :meth:`analyze` runs a
+    single IR-drop analysis for the planner, the vectorless analyzer and
+    the CLI, and the batched entry points solve many load / pad-voltage
+    scenarios against one cached factorization.
 
     Args:
         cache_size: Maximum number of factorizations kept alive (LRU).
         direct_size_limit: Systems with more unknowns than this fall back to
-            the memory-lean preconditioned-CG solver instead of a cached LU
-            factorization — the same threshold the legacy ``AUTO`` solver
-            policy used, preserved because SuperLU fill-in can exhaust
-            memory on the largest grids.
+            the memory-lean preconditioned-CG solver
+            (:func:`~repro.analysis.solvers.cg_solve`) instead of a cached
+            LU factorization, because SuperLU fill-in can exhaust memory
+            on the largest grids.
         default_workers: Worker-thread count used by chunked / streamed
             sweeps whose callers do not pass ``workers=`` explicitly.
             ``None`` (the default) reads :data:`WORKERS_ENV` and falls back
@@ -649,7 +641,6 @@ class BatchedAnalysisEngine:
         self.solver_backend = resolve_solver_backend(solver)
         self.incremental_updates = bool(incremental_updates)
         self.update_policy = update_policy or UpdatePolicy()
-        self._cg_solver = PowerGridSolver(method=SolverMethod.CG)
         self._cache_lock = threading.Lock()
         self._cache: OrderedDict[str, _FactorCacheEntry] = OrderedDict()  # guarded-by: _cache_lock
         self._factorizations = 0  # guarded-by: _cache_lock
@@ -866,9 +857,11 @@ class BatchedAnalysisEngine:
     def _use_cg(self, compiled: CompiledGrid) -> bool:
         return compiled.num_unknowns > self.direct_size_limit
 
-    def _solver_method(self, compiled: CompiledGrid) -> str:
-        """The method every solve on this grid actually uses."""
-        return SolverMethod.CG.value if self._use_cg(compiled) else ENGINE_METHOD
+    def solver_method(self, network: PowerGridNetwork | CompiledGrid) -> str:
+        """The method every solve on this grid uses: :data:`ENGINE_METHOD`
+        (cached factorization) or :data:`CG_METHOD` (past
+        ``direct_size_limit``)."""
+        return CG_METHOD if self._use_cg(self._compiled(network)) else ENGINE_METHOD
 
     def _resolve_workers(self, workers: int | None) -> int:
         workers = self.default_workers if workers is None else workers
@@ -901,12 +894,6 @@ class BatchedAnalysisEngine:
             )
         return executor, False
 
-    def _solve_cg(self, compiled: CompiledGrid, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-        system = system_from_compiled(compiled, matrix_copy=False)
-        system.rhs = rhs
-        result = self._cg_solver.solve(system)
-        return result.voltages, result.iterations
-
     def _solve_factored(self, compiled: CompiledGrid, rhs: np.ndarray) -> np.ndarray:
         """Solve via the cached factorization, refactorizing on divergence.
 
@@ -927,7 +914,7 @@ class BatchedAnalysisEngine:
         if rhs.size == 0:
             return np.empty(0), 0
         if self._use_cg(compiled):
-            return self._solve_cg(compiled, rhs)
+            return cg_solve(compiled.reduced_matrix, rhs)
         return self._solve_factored(compiled, rhs), 0
 
     def solve_voltages(
@@ -948,7 +935,7 @@ class BatchedAnalysisEngine:
         loads: np.ndarray | None = None,
         name: str | None = None,
     ) -> IRDropResult:
-        """Run one IR-drop analysis (drop-in for ``IRDropAnalyzer.analyze``).
+        """Run one IR-drop analysis.
 
         Args:
             network: The grid (or its compiled form) to analyse.
@@ -961,19 +948,13 @@ class BatchedAnalysisEngine:
         if not np.all(np.isfinite(unknown)):
             raise LinearSolverError("direct solve produced non-finite voltages")
         voltages = compiled.full_voltages(unknown)
-        drops = compiled.vdd - voltages
-        worst = int(drops.argmax()) if drops.size else 0
         elapsed = time.perf_counter() - start
-        return IRDropResult(
-            network_name=name or compiled.name,
-            vdd=compiled.vdd,
-            node_voltages=compiled.voltages_dict(voltages),
-            node_ir_drop=compiled.voltages_dict(drops),
-            worst_ir_drop=float(drops[worst]) if drops.size else 0.0,
-            worst_node=compiled.node_names[worst] if drops.size else "",
-            average_ir_drop=float(drops.mean()) if drops.size else 0.0,
+        return IRDropResult.from_voltages(
+            compiled,
+            voltages,
+            name=name or compiled.name,
             analysis_time=elapsed,
-            solver_method=self._solver_method(compiled),
+            solver_method=self.solver_method(compiled),
             solver_iterations=iterations,
         )
 
@@ -992,7 +973,7 @@ class BatchedAnalysisEngine:
         if self._use_cg(compiled):
             columns = []
             for k in range(rhs.shape[1]):
-                voltages, iterations[k] = self._solve_cg(compiled, rhs[:, k])
+                voltages, iterations[k] = cg_solve(compiled.reduced_matrix, rhs[:, k])
                 columns.append(voltages)
             unknown = np.column_stack(columns)
             reused = False
@@ -1319,7 +1300,7 @@ class BatchedAnalysisEngine:
             factorization_reused=reused,
             reductions=reductions,
             sinks=tuple(sinks),
-            solver_method=self._solver_method(compiled),
+            solver_method=self.solver_method(compiled),
             solver_iterations=iterations,
         )
 
@@ -1395,7 +1376,7 @@ class BatchedAnalysisEngine:
             factorization_reused=reused,
             reductions=reductions,
             sinks=tuple(sinks),
-            solver_method=self._solver_method(compiled),
+            solver_method=self.solver_method(compiled),
             solver_iterations=iterations,
         )
 
@@ -1464,7 +1445,7 @@ class BatchedAnalysisEngine:
             factorization_reused=reused,
             workers=executor_used.parallelism,
             executor=executor_used.name,
-            solver_method=self._solver_method(compiled),
+            solver_method=self.solver_method(compiled),
             solver_iterations=iterations,
         )
 
@@ -1552,7 +1533,7 @@ class BatchedAnalysisEngine:
             factorization_reused=reused,
             workers=executor_used.parallelism,
             executor=executor_used.name,
-            solver_method=self._solver_method(compiled),
+            solver_method=self.solver_method(compiled),
             solver_iterations=iterations,
             num_load_scenarios=num_loads,
             num_pad_scenarios=num_pad_rows,

@@ -1,24 +1,21 @@
-"""Static IR-drop analysis of a power-grid network (the conventional method).
+"""Static IR-drop results of a power-grid network (the conventional method).
 
 This is the "conventional approach" the paper benchmarks PowerPlanningDL
-against: a full sparse solve of the grid's nodal equations, followed by
-IR-drop extraction per node, worst-case reporting, and rasterisation of the
-IR-drop values onto a 2-D map (the paper's Fig. 8 plots these maps on a
-100 x 100 raster).
+against: a full sparse solve of the grid's nodal equations (run by
+:class:`~repro.analysis.engine.BatchedAnalysisEngine`), followed by IR-drop
+extraction per node, worst-case reporting, and rasterisation of the IR-drop
+values onto a 2-D map (the paper's Fig. 8 plots these maps on a 100 x 100
+raster).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..grid.compiled import CompiledGrid
 from ..grid.network import PowerGridNetwork
-from .mna import MNAAssembler
-# The legacy MNA-level analyzer is the documented consumer of the
-# deprecated solver module; new code goes through BatchedAnalysisEngine.
-from .solver import PowerGridSolver, SolverMethod  # reprolint: disable=RPR005
 
 
 @dataclass
@@ -49,6 +46,42 @@ class IRDropResult:
     solver_method: str
     solver_iterations: int
 
+    @classmethod
+    def from_voltages(
+        cls,
+        compiled: CompiledGrid,
+        voltages: np.ndarray,
+        *,
+        analysis_time: float,
+        solver_method: str,
+        solver_iterations: int = 0,
+        name: str | None = None,
+    ) -> IRDropResult:
+        """Build the result from per-node voltages in compiled node order.
+
+        Args:
+            compiled: The solved grid.
+            voltages: ``(num_nodes,)`` solved node voltages.
+            analysis_time: Wall-clock time of the solve in seconds.
+            solver_method: Linear solver that produced ``voltages``.
+            solver_iterations: Iterations of that solver (0 for direct).
+            name: Result name; the grid's own name when omitted.
+        """
+        drops = compiled.vdd - voltages
+        worst = int(drops.argmax()) if drops.size else 0
+        return cls(
+            network_name=compiled.name if name is None else name,
+            vdd=compiled.vdd,
+            node_voltages=compiled.voltages_dict(voltages),
+            node_ir_drop=compiled.voltages_dict(drops),
+            worst_ir_drop=float(drops[worst]) if drops.size else 0.0,
+            worst_node=compiled.node_names[worst] if drops.size else "",
+            average_ir_drop=float(drops.mean()) if drops.size else 0.0,
+            analysis_time=analysis_time,
+            solver_method=solver_method,
+            solver_iterations=solver_iterations,
+        )
+
     @property
     def worst_ir_drop_mv(self) -> float:
         """Worst-case IR drop in millivolts (Table III units)."""
@@ -61,50 +94,6 @@ class IRDropResult:
             KeyError: If the node does not exist in the result.
         """
         return self.node_ir_drop[node]
-
-
-class IRDropAnalyzer:
-    """Full static IR-drop analysis via sparse nodal solve.
-
-    Assembly runs on the network's cached compiled form (vectorised COO→CSR
-    stamping), but every call still factorizes the system from scratch —
-    this is the reference per-solve path.  Sweeps that only change loads or
-    pad voltages should use
-    :class:`~repro.analysis.engine.BatchedAnalysisEngine`, which shares one
-    factorization across scenarios.
-
-    Args:
-        solver: Linear solver to use; a default auto-selecting solver is
-            created if omitted.
-    """
-
-    def __init__(self, solver: PowerGridSolver | None = None) -> None:
-        self.solver = solver or PowerGridSolver(method=SolverMethod.AUTO)
-        self._assembler = MNAAssembler()
-
-    def analyze(self, network: PowerGridNetwork) -> IRDropResult:
-        """Run the analysis and return per-node voltages and IR drops."""
-        start = time.perf_counter()
-        system = self._assembler.assemble(network)
-        solve_result = self.solver.solve(system)
-        voltages = system.full_solution(solve_result.voltages)
-        elapsed = time.perf_counter() - start
-
-        ir_drop = {name: network.vdd - voltage for name, voltage in voltages.items()}
-        worst_node = max(ir_drop, key=ir_drop.get)
-        values = np.fromiter(ir_drop.values(), dtype=float)
-        return IRDropResult(
-            network_name=network.name,
-            vdd=network.vdd,
-            node_voltages=voltages,
-            node_ir_drop=ir_drop,
-            worst_ir_drop=float(values.max()),
-            worst_node=worst_node,
-            average_ir_drop=float(values.mean()),
-            analysis_time=elapsed,
-            solver_method=solve_result.method.value,
-            solver_iterations=solve_result.iterations,
-        )
 
 
 def ir_drop_map(

@@ -12,6 +12,8 @@ solver-policy layer splits that decision into three parts:
   warning instead of failing, so the same configuration runs everywhere.
   Like the executor layer's ``REPRO_TEST_EXECUTOR``, the default backend
   can be supplied through the :data:`SOLVER_ENV` environment variable.
+  Systems past the engine's ``direct_size_limit`` are not factored at
+  all: :func:`cg_solve` runs Jacobi-preconditioned CG per RHS column.
 
 * **Incremental updates** (:func:`make_update_factorization`) serve the
   planner's analyse–resize loop.  A resize that touches the conductances
@@ -54,10 +56,57 @@ import scipy.sparse.linalg as spla
 class LinearSolverError(RuntimeError):
     """Raised when the nodal system could not be solved to tolerance.
 
-    Canonical home of the error shared by the solver backends, the
-    engine and the legacy :mod:`repro.analysis.solver` module (which
-    re-exports it for backward compatibility).
+    Shared by the solver backends, the CG fallback and the engine.
     """
+
+
+CG_TOLERANCE = 1e-10
+"""Relative residual tolerance of the engine's CG fallback (:func:`cg_solve`)."""
+
+CG_MAX_ITERATIONS = 20000
+"""Iteration cap of the engine's CG fallback; hitting it raises
+:class:`LinearSolverError`."""
+
+
+def cg_solve(matrix: sp.spmatrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve one RHS column by Jacobi-preconditioned conjugate gradients.
+
+    The memory-lean fallback for systems past the engine's
+    ``direct_size_limit``, where SuperLU fill-in can exhaust memory.
+
+    Returns:
+        The solution vector and the number of CG iterations taken.
+
+    Raises:
+        LinearSolverError: On a non-positive diagonal entry, when CG does
+            not converge within :data:`CG_MAX_ITERATIONS`, or on illegal
+            input.
+    """
+    diagonal = matrix.diagonal()
+    if np.any(diagonal <= 0):
+        raise LinearSolverError("conductance matrix has a non-positive diagonal entry")
+    preconditioner = spla.LinearOperator(matrix.shape, matvec=lambda x: x / diagonal)
+    iterations = 0
+
+    def count(_xk: np.ndarray) -> None:
+        nonlocal iterations
+        iterations += 1
+
+    solution, info = spla.cg(
+        matrix,
+        rhs,
+        rtol=CG_TOLERANCE,
+        maxiter=CG_MAX_ITERATIONS,
+        M=preconditioner,
+        callback=count,
+    )
+    if info > 0:
+        raise LinearSolverError(
+            f"CG did not converge within {CG_MAX_ITERATIONS} iterations (info={info})"
+        )
+    if info < 0:
+        raise LinearSolverError(f"CG failed with illegal input (info={info})")
+    return solution, iterations
 
 
 SOLVER_ENV = "REPRO_TEST_SOLVER"

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.engine import BatchedAnalysisEngine
-from ..analysis.irdrop import IRDropAnalyzer
 from ..design.planner import PowerPlanResult
 from ..grid.network import PowerGridNetwork
 from ..grid.perturbation import NetworkPerturbator, PerturbationSpec, perturbed_load_matrix
@@ -304,9 +303,10 @@ def batched_solve_study(
 
     Both paths solve the same ``num_scenarios`` current-only perturbations
     of ``network``.  The naive path rebuilds the perturbed network and runs
-    a fresh :class:`IRDropAnalyzer` per scenario (assembly + factorization
-    every time); the batched path compiles once and solves every RHS
-    against one cached factorization.  The per-node voltages of the two
+    a fresh :class:`BatchedAnalysisEngine` per scenario (assembly +
+    factorization every time: a shared engine would serve the unchanged
+    topology from its factor cache); the batched path compiles once and
+    solves every RHS against one cached factorization.  The per-node voltages of the two
     paths are compared to guarantee the comparison is apples-to-apples.
 
     Args:
@@ -324,7 +324,6 @@ def batched_solve_study(
     batch = engine.analyze_batch(compiled, load_matrix)
     batched_seconds = time.perf_counter() - batched_start
 
-    analyzer = IRDropAnalyzer()
     max_difference = 0.0
     naive_seconds = 0.0
     for scenario in range(num_scenarios):
@@ -332,7 +331,7 @@ def batched_solve_study(
             PerturbationSpec(gamma=spec.gamma, kind=spec.kind, seed=spec.seed + scenario)
         ).perturb(network)
         naive_start = time.perf_counter()
-        result = analyzer.analyze(perturbed)
+        result = BatchedAnalysisEngine().analyze(perturbed)
         naive_seconds += time.perf_counter() - naive_start
         naive_voltages = compiled.voltage_array(result.node_voltages)
         difference = np.abs(naive_voltages - batch.scenario_voltages(scenario)).max()

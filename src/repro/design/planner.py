@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis import SolverMethod
 from ..analysis.currents import line_currents, line_currents_from_voltages
 from ..analysis.em import EMChecker, EMReport
 from ..analysis.engine import ENGINE_METHOD, BatchedAnalysisEngine
-from ..analysis.irdrop import IRDropAnalyzer, IRDropResult
+from ..analysis.irdrop import IRDropResult
 from ..analysis.solvers import UpdatePolicy
 from ..grid.builder import GridBuilder, GridTopology
 from ..grid.compiled import CompiledGrid
@@ -136,13 +135,10 @@ class ConventionalPowerPlanner:
         max_iterations: Cap on the number of resize iterations.
         upsize_factor: Multiplicative width increase applied to violating
             lines in each iteration.
-        analyzer: IR-drop backend; defaults to a
-            :class:`~repro.analysis.engine.BatchedAnalysisEngine`, whose
-            vectorised assembly and factorization cache speed up the
-            repeated analyses of the design loop.  A legacy
-            :class:`IRDropAnalyzer` is also accepted.
-        use_compiled_loop: When True (the default) and the analyzer is a
-            :class:`BatchedAnalysisEngine`, the resize loop stays entirely
+        analyzer: The :class:`~repro.analysis.engine.BatchedAnalysisEngine`
+            running every analysis; a default one (sized for the chosen
+            loop) is created when omitted.
+        use_compiled_loop: When True (the default), the resize loop stays entirely
             in compiled-array land: the grid is built once with
             :meth:`~repro.grid.builder.GridBuilder.build_compiled` and each
             iteration only rewrites the stripe conductances via
@@ -167,8 +163,7 @@ class ConventionalPowerPlanner:
             for the defaults or a :class:`~repro.design.search.SearchConfig`
             (e.g. with a fitted
             :class:`~repro.design.search.CandidateRanker` for
-            model-guided pruning).  Requires the compiled loop and an
-            engine analyzer.
+            model-guided pruning).  Requires the compiled loop.
     """
 
     def __init__(
@@ -178,7 +173,7 @@ class ConventionalPowerPlanner:
         sizing_parameters: SizingParameters | None = None,
         max_iterations: int = 10,
         upsize_factor: float = 1.25,
-        analyzer: IRDropAnalyzer | BatchedAnalysisEngine | None = None,
+        analyzer: BatchedAnalysisEngine | None = None,
         use_compiled_loop: bool = True,
         solver: str | None = None,
         incremental_updates: bool = True,
@@ -261,17 +256,11 @@ class ConventionalPowerPlanner:
                     f"initial_widths must have length {topology.num_lines}"
                 )
 
-        compiled_capable = self.use_compiled_loop and isinstance(
-            self.analyzer, BatchedAnalysisEngine
-        )
         if self.search_config is not None:
-            if not compiled_capable:
-                raise ValueError(
-                    "search mode requires the compiled loop and a "
-                    "BatchedAnalysisEngine analyzer"
-                )
+            if not self.use_compiled_loop:
+                raise ValueError("search mode requires the compiled loop")
             return self._plan_search(floorplan, topology, constraints, widths, start)
-        if compiled_capable:
+        if self.use_compiled_loop:
             return self._plan_compiled(floorplan, topology, constraints, widths, start)
         return self._plan_legacy(floorplan, topology, constraints, widths, start)
 
@@ -418,22 +407,11 @@ class ConventionalPowerPlanner:
         # the final network for downstream consumers and the full IR-drop
         # result, built straight from the already-solved voltages.
         network = builder.build(floorplan, topology, widths, name=floorplan.name)
-        drops = compiled.vdd - analysis.voltages
-        ir_result = IRDropResult(
-            network_name=compiled.name,
-            vdd=compiled.vdd,
-            node_voltages=compiled.voltages_dict(analysis.voltages),
-            node_ir_drop=compiled.voltages_dict(drops),
-            worst_ir_drop=analysis.worst_ir_drop,
-            worst_node=compiled.node_names[analysis.worst_index] if drops.size else "",
-            average_ir_drop=analysis.average_ir_drop,
+        ir_result = IRDropResult.from_voltages(
+            compiled,
+            analysis.voltages,
             analysis_time=analysis.analysis_time,
-            solver_method=(
-                SolverMethod.CG.value
-                if compiled.num_unknowns > engine.direct_size_limit
-                else ENGINE_METHOD
-            ),
-            solver_iterations=0,
+            solver_method=engine.solver_method(compiled),
         )
         total_time = time.perf_counter() - start
         return PowerPlanResult(
@@ -611,7 +589,7 @@ class ConventionalPowerPlanner:
             if (
                 best_clone is not compiled
                 and engine.incremental_updates
-                and compiled.num_unknowns <= engine.direct_size_limit
+                and engine.solver_method(compiled) == ENGINE_METHOD
             ):
                 engine.factor_update(compiled, best_clone)
             if committed.kind == "decap":
@@ -635,22 +613,11 @@ class ConventionalPowerPlanner:
             )
 
         network = builder.build(floorplan, topology, widths, name=floorplan.name)
-        drops = compiled.vdd - analysis.voltages
-        ir_result = IRDropResult(
-            network_name=compiled.name,
-            vdd=compiled.vdd,
-            node_voltages=compiled.voltages_dict(analysis.voltages),
-            node_ir_drop=compiled.voltages_dict(drops),
-            worst_ir_drop=analysis.worst_ir_drop,
-            worst_node=compiled.node_names[analysis.worst_index] if drops.size else "",
-            average_ir_drop=analysis.average_ir_drop,
+        ir_result = IRDropResult.from_voltages(
+            compiled,
+            analysis.voltages,
             analysis_time=analysis.analysis_time,
-            solver_method=(
-                SolverMethod.CG.value
-                if compiled.num_unknowns > engine.direct_size_limit
-                else ENGINE_METHOD
-            ),
-            solver_iterations=0,
+            solver_method=engine.solver_method(compiled),
         )
         total_time = time.perf_counter() - start
         return PowerPlanResult(

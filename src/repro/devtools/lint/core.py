@@ -7,7 +7,7 @@ links), every rule is a :class:`Rule` subclass registered under a stable
 :class:`Finding`\\ s.  Suppression is comment-driven::
 
     x = eval(blob)        # reprolint: disable=RPR004
-    # reprolint: disable-file=RPR005   (anywhere in the file)
+    # reprolint: disable-file=RPR007   (anywhere in the file)
 
 ``disable=all`` works in both forms.  Rules never read pragmas — the
 runner filters findings afterwards, so ``respect_pragmas=False`` (used by
@@ -195,7 +195,9 @@ def register(rule_class: type[Rule]) -> type[Rule]:
         raise ValueError(f"rule code must look like RPR001, got {code!r}")
     existing = RULE_REGISTRY.get(code)
     if existing is not None and existing is not rule_class:
-        raise ValueError(f"duplicate rule code {code}: {existing.__name__} vs {rule_class.__name__}")
+        raise ValueError(
+            f"duplicate rule code {code}: {existing.__name__} vs {rule_class.__name__}"
+        )
     RULE_REGISTRY[code] = rule_class
     return rule_class
 

@@ -533,76 +533,6 @@ class DeterminismRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RPR005 — legacy solver-module import ban
-# ----------------------------------------------------------------------
-_LEGACY_MODULE = "repro.analysis.solver"
-
-
-@register
-class LegacyImportRule(Rule):
-    """New code must not import the deprecated ``repro.analysis.solver``.
-
-    Protects: the PR-7 solver-policy seam.  ``repro.analysis.solvers``
-    is the canonical home of the factorization backends, the incremental
-    updates and ``LinearSolverError``; the legacy module survives only
-    for MNA-level callers.  Import from ``repro.analysis.solvers`` or
-    the ``repro.analysis`` package re-exports instead.  Exempt: the
-    legacy module itself and its dedicated ``test_solver*`` suites; the
-    handful of intentional legacy couplings carry line pragmas.
-    """
-
-    code = "RPR005"
-    name = "legacy-import"
-    description = "no new imports of the deprecated repro.analysis.solver"
-
-    def applies_to(self, context: ModuleContext) -> bool:
-        path = context.posix_path
-        if path.endswith("repro/analysis/solver.py"):
-            return False
-        stem = path.rsplit("/", 1)[-1]
-        return not stem.startswith("test_solver")
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == _LEGACY_MODULE:
-                        yield self._flag(context, node)
-            elif isinstance(node, ast.ImportFrom):
-                module = self._absolute_module(context, node)
-                if module == _LEGACY_MODULE:
-                    yield self._flag(context, node)
-                elif module == "repro.analysis" and any(
-                    alias.name == "solver" for alias in node.names
-                ):
-                    yield self._flag(context, node)
-
-    @staticmethod
-    def _absolute_module(context: ModuleContext, node: ast.ImportFrom) -> str | None:
-        if node.level == 0:
-            return node.module
-        dotted = context.module_dotted
-        if dotted is None:
-            return None
-        parts = dotted.split(".")
-        if not context.posix_path.endswith("__init__.py"):
-            parts = parts[:-1]  # the file's package
-        parts = parts[: len(parts) - (node.level - 1)] if node.level > 1 else parts
-        if node.module:
-            parts = parts + node.module.split(".")
-        return ".".join(parts)
-
-    def _flag(self, context: ModuleContext, node: ast.stmt) -> Finding:
-        return self.finding(
-            context,
-            node,
-            "import of the deprecated repro.analysis.solver; use "
-            "repro.analysis.solvers (backends, updates, LinearSolverError) or the "
-            "repro.analysis package re-exports instead",
-        )
-
-
-# ----------------------------------------------------------------------
 # RPR006 — environment-variable registry
 # ----------------------------------------------------------------------
 @register
@@ -768,7 +698,8 @@ class MutableGlobalRule(Rule):
 
     @staticmethod
     def _is_mutable_literal(value: ast.expr) -> bool:
-        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        mutable = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+        if isinstance(value, mutable):
             return True
         if isinstance(value, ast.Call):
             name = _call_name(value)

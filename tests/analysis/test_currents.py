@@ -3,17 +3,17 @@
 import pytest
 
 from repro.analysis import (
-    IRDropAnalyzer,
     branch_currents,
     line_currents,
     pad_currents,
     total_dissipated_power,
 )
+from tests.oracle import reference_analyze
 
 
 @pytest.fixture(scope="module")
 def solved(tiny_grid):
-    return tiny_grid, IRDropAnalyzer().analyze(tiny_grid)
+    return tiny_grid, reference_analyze(tiny_grid)
 
 
 class TestBranchCurrents:

@@ -4,17 +4,17 @@ import pytest
 
 from repro.analysis import (
     EMChecker,
-    IRDropAnalyzer,
     em_lifetime_ratio,
     required_width_for_current,
 )
 from repro.grid import GridBuilder
+from tests.oracle import reference_analyze
 
 
 class TestEMChecker:
     def test_wide_grid_passes(self, technology, tiny_floorplan, tiny_topology):
         network = GridBuilder(technology).build(tiny_floorplan, tiny_topology, 20.0)
-        result = IRDropAnalyzer().analyze(network)
+        result = reference_analyze(network)
         report = EMChecker(technology).check(network, result)
         assert report.passed
         assert report.checked_segments > 0
@@ -22,7 +22,7 @@ class TestEMChecker:
 
     def test_narrow_grid_fails(self, technology, tiny_floorplan, tiny_topology):
         network = GridBuilder(technology).build(tiny_floorplan, tiny_topology, 0.4)
-        result = IRDropAnalyzer().analyze(network)
+        result = reference_analyze(network)
         report = EMChecker(technology).check(network, result)
         assert not report.passed
         assert report.violating_lines
@@ -41,7 +41,7 @@ class TestEMChecker:
             EMChecker(technology, margin=1.0)
 
     def test_vias_are_not_checked(self, technology, tiny_grid):
-        result = IRDropAnalyzer().analyze(tiny_grid)
+        result = reference_analyze(tiny_grid)
         report = EMChecker(technology).check(tiny_grid, result)
         wire_segments = sum(1 for r in tiny_grid.iter_resistors() if r.width > 0)
         assert report.checked_segments == wire_segments

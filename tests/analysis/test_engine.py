@@ -1,20 +1,16 @@
 """Tests for the cached-factorization, multi-RHS analysis engine.
 
 The acceptance bar for the engine is strict numerical equivalence with the
-legacy per-solve :class:`IRDropAnalyzer` path (≤ 1e-9 per node voltage) plus
-the guarantee that a current-only perturbation sweep is served by exactly
-one sparse factorization.
+independent reference solve of :mod:`tests.oracle` — the legacy
+per-resistor stamping plus ``spsolve`` (≤ 1e-9 per node voltage) — plus the
+guarantee that a current-only perturbation sweep is served by exactly one
+sparse factorization.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    BatchedAnalysisEngine,
-    IRDropAnalyzer,
-    VectorlessAnalyzer,
-    uniform_budget,
-)
+from repro.analysis import BatchedAnalysisEngine, VectorlessAnalyzer, uniform_budget
 from repro.core import batched_solve_study
 from repro.grid import (
     NetworkPerturbator,
@@ -23,17 +19,14 @@ from repro.grid import (
     SyntheticIBMSuite,
     perturbed_load_matrix,
 )
+from tests.oracle import (
+    max_voltage_difference,
+    reference_analyze,
+    reference_vectorless_bound,
+    reference_voltages,
+)
 
 VOLTAGE_TOLERANCE = 1e-9
-
-
-def max_voltage_difference(legacy_result, engine_result):
-    """Worst per-node voltage difference between two analysis results."""
-    assert set(legacy_result.node_voltages) == set(engine_result.node_voltages)
-    return max(
-        abs(voltage - engine_result.node_voltages[name])
-        for name, voltage in legacy_result.node_voltages.items()
-    )
 
 
 @pytest.fixture(scope="module")
@@ -52,30 +45,30 @@ class TestSingleSolveEquivalence:
     @pytest.mark.parametrize("grid_fixture", ["ibmpg1_grid", "ibmpg2_grid"])
     def test_engine_matches_legacy_analyzer(self, grid_fixture, request):
         grid = request.getfixturevalue(grid_fixture)
-        legacy = IRDropAnalyzer().analyze(grid)
+        reference = reference_analyze(grid)
         engine = BatchedAnalysisEngine().analyze(grid)
-        assert max_voltage_difference(legacy, engine) <= VOLTAGE_TOLERANCE
-        assert engine.worst_ir_drop == pytest.approx(legacy.worst_ir_drop, abs=1e-9)
-        assert engine.worst_node == legacy.worst_node
-        assert engine.average_ir_drop == pytest.approx(legacy.average_ir_drop, abs=1e-9)
+        assert max_voltage_difference(reference, engine) <= VOLTAGE_TOLERANCE
+        assert engine.worst_ir_drop == pytest.approx(reference.worst_ir_drop, abs=1e-9)
+        assert engine.worst_node == reference.worst_node
+        assert engine.average_ir_drop == pytest.approx(reference.average_ir_drop, abs=1e-9)
 
     @pytest.mark.parametrize("grid_fixture", ["ibmpg1_grid", "ibmpg2_grid"])
     def test_load_perturbed_equivalence(self, grid_fixture, request):
         grid = request.getfixturevalue(grid_fixture)
         spec = PerturbationSpec(gamma=0.25, kind=PerturbationKind.CURRENT_WORKLOADS, seed=42)
         perturbed = NetworkPerturbator(spec).perturb(grid)
-        legacy = IRDropAnalyzer().analyze(perturbed)
+        reference = reference_analyze(perturbed)
         engine = BatchedAnalysisEngine().analyze(perturbed)
-        assert max_voltage_difference(legacy, engine) <= VOLTAGE_TOLERANCE
+        assert max_voltage_difference(reference, engine) <= VOLTAGE_TOLERANCE
 
     @pytest.mark.parametrize("grid_fixture", ["ibmpg1_grid", "ibmpg2_grid"])
     def test_pad_perturbed_equivalence(self, grid_fixture, request):
         grid = request.getfixturevalue(grid_fixture)
         spec = PerturbationSpec(gamma=0.15, kind=PerturbationKind.NODE_VOLTAGES, seed=17)
         perturbed = NetworkPerturbator(spec).perturb(grid)
-        legacy = IRDropAnalyzer().analyze(perturbed)
+        reference = reference_analyze(perturbed)
         engine = BatchedAnalysisEngine().analyze(perturbed)
-        assert max_voltage_difference(legacy, engine) <= VOLTAGE_TOLERANCE
+        assert max_voltage_difference(reference, engine) <= VOLTAGE_TOLERANCE
 
     def test_pad_perturbation_reuses_factorization(self, ibmpg1_grid):
         """Pad voltages only enter the RHS, so the factorization is shared."""
@@ -95,15 +88,13 @@ class TestBatchedSolve:
         load_matrix = perturbed_load_matrix(ibmpg1_grid, spec, num_scenarios)
         batch = BatchedAnalysisEngine().analyze_batch(ibmpg1_grid, load_matrix)
         compiled = ibmpg1_grid.compile()
-        analyzer = IRDropAnalyzer()
         for scenario in range(num_scenarios):
             per_scenario_spec = PerturbationSpec(
                 gamma=spec.gamma, kind=spec.kind, seed=spec.seed + scenario
             )
             perturbed = NetworkPerturbator(per_scenario_spec).perturb(ibmpg1_grid)
-            legacy = analyzer.analyze(perturbed)
-            legacy_voltages = compiled.voltage_array(legacy.node_voltages)
-            difference = np.abs(legacy_voltages - batch.scenario_voltages(scenario)).max()
+            expected = compiled.voltage_array(reference_voltages(perturbed))
+            difference = np.abs(expected - batch.scenario_voltages(scenario)).max()
             assert difference <= VOLTAGE_TOLERANCE
 
     def test_sweep_of_50_scenarios_uses_one_factorization(self, ibmpg1_grid):
@@ -162,17 +153,17 @@ class TestBatchedSolve:
 
 
 class TestCGFallback:
-    """Above direct_size_limit the engine preserves the legacy AUTO policy:
-    memory-lean preconditioned CG instead of a cached LU factorization."""
+    """Above direct_size_limit the engine solves by memory-lean
+    preconditioned CG instead of a cached LU factorization."""
 
     def test_large_system_falls_back_to_cg(self, ibmpg1_grid):
         engine = BatchedAnalysisEngine(direct_size_limit=10)
-        legacy = IRDropAnalyzer().analyze(ibmpg1_grid)
+        reference = reference_analyze(ibmpg1_grid)
         result = engine.analyze(ibmpg1_grid)
         assert result.solver_method == "cg"
         assert result.solver_iterations > 0
         assert engine.cache_info().factorizations == 0
-        assert max_voltage_difference(legacy, result) <= 1e-6
+        assert max_voltage_difference(reference, result) <= 1e-6
 
     def test_cg_fallback_batch(self, ibmpg1_grid):
         engine = BatchedAnalysisEngine(direct_size_limit=10)
@@ -181,13 +172,9 @@ class TestCGFallback:
         assert batch.num_scenarios == 3
         assert not batch.factorization_reused
         assert engine.cache_info().factorizations == 0
-        reference = IRDropAnalyzer().analyze(ibmpg1_grid)
-        compiled = ibmpg1_grid.compile()
-        reference_voltages = compiled.voltage_array(reference.node_voltages)
+        expected = ibmpg1_grid.compile().voltage_array(reference_voltages(ibmpg1_grid))
         for scenario in range(3):
-            assert np.abs(
-                batch.scenario_voltages(scenario) - reference_voltages
-            ).max() <= 1e-6
+            assert np.abs(batch.scenario_voltages(scenario) - expected).max() <= 1e-6
 
     def test_invalid_direct_size_limit_rejected(self):
         with pytest.raises(ValueError):
@@ -228,16 +215,15 @@ class TestCacheManagement:
 class TestVectorlessWithEngine:
     def test_batched_vectorless_matches_legacy(self, ibmpg1_grid):
         budget = uniform_budget(ibmpg1_grid, headroom=1.4, utilisation=0.9)
-        legacy = VectorlessAnalyzer(IRDropAnalyzer()).analyze(ibmpg1_grid, budget)
+        nominal = reference_analyze(ibmpg1_grid)
+        bound = reference_vectorless_bound(ibmpg1_grid, budget)
         batched = VectorlessAnalyzer(BatchedAnalysisEngine()).analyze(ibmpg1_grid, budget)
-        assert max_voltage_difference(
-            legacy.nominal_result, batched.nominal_result
-        ) <= VOLTAGE_TOLERANCE
-        assert max_voltage_difference(
-            legacy.bound_result, batched.bound_result
-        ) <= VOLTAGE_TOLERANCE
-        assert batched.pessimism == pytest.approx(legacy.pessimism, rel=1e-9)
-        assert batched.bound_result.network_name == legacy.bound_result.network_name
+        assert max_voltage_difference(nominal, batched.nominal_result) <= VOLTAGE_TOLERANCE
+        assert max_voltage_difference(bound, batched.bound_result) <= VOLTAGE_TOLERANCE
+        pessimism = bound.worst_ir_drop / nominal.worst_ir_drop
+        assert batched.pessimism == pytest.approx(pessimism, rel=1e-9)
+        assert batched.bound_result.network_name == f"{ibmpg1_grid.name}_vectorless"
+        assert batched.bound_result.network_name == bound.network_name
 
     def test_default_vectorless_uses_one_factorization(self, ibmpg1_grid):
         engine = BatchedAnalysisEngine()

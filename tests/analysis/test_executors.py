@@ -809,7 +809,9 @@ class TestSharedGridPayload:
             # The closure is the point: unpicklable sources must raise the
             # same incompatibility the pickle payload raises, before any
             # segment is allocated.
-            scenario_source=lambda begin, end: (load_sweep[begin:end], None),  # reprolint: disable=RPR002
+            scenario_source=(
+                lambda begin, end: (load_sweep[begin:end], None)  # reprolint: disable=RPR002
+            ),
             num_scenarios=load_sweep.shape[0],
             chunk_size=7,
             sinks=(),

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.analysis import IRDropAnalyzer, current_conservation_error, ir_drop_map
+from repro.analysis import BatchedAnalysisEngine, current_conservation_error, ir_drop_map
 from repro.grid import CurrentSource, GridNode, PowerGridNetwork, Resistor, VoltageSource
 
 
 @pytest.fixture(scope="module")
 def tiny_result(tiny_grid):
-    return IRDropAnalyzer().analyze(tiny_grid)
+    return BatchedAnalysisEngine().analyze(tiny_grid)
 
 
 class TestIRDropAnalysis:
@@ -41,9 +41,9 @@ class TestIRDropAnalysis:
         assert current_conservation_error(tiny_grid, tiny_result) < 1e-8
 
     def test_more_current_more_drop(self, tiny_grid):
-        analyzer = IRDropAnalyzer()
-        nominal = analyzer.analyze(tiny_grid)
-        heavy = analyzer.analyze(tiny_grid.with_scaled_loads(2.0))
+        engine = BatchedAnalysisEngine()
+        nominal = engine.analyze(tiny_grid)
+        heavy = engine.analyze(tiny_grid.with_scaled_loads(2.0))
         assert heavy.worst_ir_drop == pytest.approx(2.0 * nominal.worst_ir_drop, rel=1e-6)
 
     def test_single_resistor_analytic_case(self):
@@ -53,7 +53,7 @@ class TestIRDropAnalysis:
         network.add_resistor(Resistor(name="R1", node_a="pad", node_b="load", resistance=5.0))
         network.add_voltage_source(VoltageSource(name="V1", node="pad", voltage=1.0))
         network.add_current_source(CurrentSource(name="I1", node="load", current=0.01))
-        result = IRDropAnalyzer().analyze(network)
+        result = BatchedAnalysisEngine().analyze(network)
         assert result.worst_ir_drop == pytest.approx(0.05)
         assert result.worst_node == "load"
 

@@ -1,9 +1,13 @@
-"""Tests for MNA assembly on hand-solvable circuits."""
+"""Tests for nodal (MNA) assembly and solution on hand-solvable circuits.
+
+Assembly lives in :class:`~repro.grid.compiled.CompiledGrid`; solutions
+come from :class:`~repro.analysis.BatchedAnalysisEngine`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.analysis import PowerGridSolver, assemble
+from repro.analysis import BatchedAnalysisEngine
 from repro.grid import CurrentSource, GridNode, PowerGridNetwork, Resistor, VoltageSource
 
 
@@ -19,56 +23,60 @@ def voltage_divider(load_current=0.1, r1=1.0, r2=2.0, vdd=1.0):
     return network
 
 
+def unknown_index(compiled):
+    return {name: i for i, name in enumerate(compiled.unknown_nodes)}
+
+
 class TestAssembly:
     def test_unknowns_exclude_pad_nodes(self):
-        system = assemble(voltage_divider())
-        assert set(system.unknown_nodes) == {"middle", "sink"}
-        assert system.fixed_voltages == {"pad": 1.0}
+        compiled = voltage_divider().compile()
+        assert set(compiled.unknown_nodes) == {"middle", "sink"}
+        pads = {compiled.node_names[i]: compiled.pad_voltage[i] for i in compiled.pad_node}
+        assert pads == {"pad": 1.0}
 
     def test_matrix_is_symmetric(self, tiny_grid):
-        system = assemble(tiny_grid)
-        difference = (system.matrix - system.matrix.T).toarray()
+        matrix = tiny_grid.compile().reduced_matrix
+        difference = (matrix - matrix.T).toarray()
         np.testing.assert_allclose(difference, 0.0, atol=1e-12)
 
     def test_matrix_diagonal_positive(self, tiny_grid):
-        system = assemble(tiny_grid)
-        assert np.all(system.matrix.diagonal() > 0)
+        assert np.all(tiny_grid.compile().reduced_matrix.diagonal() > 0)
 
     def test_rhs_contains_loads_and_pad_contributions(self):
-        system = assemble(voltage_divider(load_current=0.1, r1=1.0, vdd=1.0))
-        index = {name: i for i, name in enumerate(system.unknown_nodes)}
+        compiled = voltage_divider(load_current=0.1, r1=1.0, vdd=1.0).compile()
+        index = unknown_index(compiled)
+        rhs = compiled.rhs()
         # middle node: pad contribution = G1 * vdd = 1.0; sink: -load
-        assert system.rhs[index["middle"]] == pytest.approx(1.0)
-        assert system.rhs[index["sink"]] == pytest.approx(-0.1)
+        assert rhs[index["middle"]] == pytest.approx(1.0)
+        assert rhs[index["sink"]] == pytest.approx(-0.1)
 
     def test_network_without_pads_raises(self):
         network = PowerGridNetwork()
         network.add_node(GridNode(name="a", x=0.0, y=0.0))
         with pytest.raises(ValueError):
-            assemble(network)
+            BatchedAnalysisEngine().analyze(network)
 
     def test_full_solution_merges_fixed_and_unknown(self):
-        system = assemble(voltage_divider())
-        solution = system.full_solution(np.asarray([0.9, 0.7]))
+        compiled = voltage_divider().compile()
+        solution = compiled.voltages_dict(compiled.full_voltages(np.asarray([0.9, 0.7])))
         assert solution["pad"] == pytest.approx(1.0)
         assert set(solution) == {"pad", "middle", "sink"}
 
     def test_full_solution_shape_check(self):
-        system = assemble(voltage_divider())
+        compiled = voltage_divider().compile()
         with pytest.raises(ValueError):
-            system.full_solution(np.zeros(5))
+            compiled.full_voltages(np.zeros(5))
 
     def test_ground_resistor_stamped_on_diagonal(self):
         network = voltage_divider()
         network.add_resistor(Resistor(name="Rg", node_a="sink", node_b="0", resistance=10.0))
-        system = assemble(network)
-        assert system.ground_connected
-        index = {name: i for i, name in enumerate(system.unknown_nodes)}
-        sink = index["sink"]
+        compiled = network.compile()
+        assert compiled.ground_connected
+        sink = unknown_index(compiled)["sink"]
         # diagonal gains 1/10
-        plain = assemble(voltage_divider())
-        assert system.matrix[sink, sink] == pytest.approx(
-            plain.matrix[sink, sink] + 0.1
+        plain = voltage_divider().compile()
+        assert compiled.reduced_matrix[sink, sink] == pytest.approx(
+            plain.reduced_matrix[sink, sink] + 0.1
         )
 
 
@@ -76,9 +84,7 @@ class TestAnalyticSolutions:
     def test_voltage_divider_solution(self):
         """Series chain: middle = vdd - I*R1, sink = vdd - I*(R1+R2)."""
         network = voltage_divider(load_current=0.1, r1=1.0, r2=2.0, vdd=1.0)
-        system = assemble(network)
-        result = PowerGridSolver().solve(system)
-        solution = system.full_solution(result.voltages)
+        solution = BatchedAnalysisEngine().analyze(network).node_voltages
         assert solution["middle"] == pytest.approx(1.0 - 0.1 * 1.0)
         assert solution["sink"] == pytest.approx(1.0 - 0.1 * 3.0)
 
@@ -92,20 +98,14 @@ class TestAnalyticSolutions:
         network.add_voltage_source(VoltageSource(name="V1", node="p1", voltage=1.0))
         network.add_voltage_source(VoltageSource(name="V2", node="p2", voltage=1.0))
         network.add_current_source(CurrentSource(name="I1", node="mid", current=0.2))
-        system = assemble(network)
-        result = PowerGridSolver().solve(system)
-        solution = system.full_solution(result.voltages)
+        solution = BatchedAnalysisEngine().analyze(network).node_voltages
         assert solution["mid"] == pytest.approx(1.0 - 0.2 * 1.0)
 
     def test_superposition_of_loads(self):
         """Node voltages are linear in the load currents."""
-        base = voltage_divider(load_current=0.05)
-        double = voltage_divider(load_current=0.10)
-        solver = PowerGridSolver()
-        system_base = assemble(base)
-        system_double = assemble(double)
-        v_base = system_base.full_solution(solver.solve(system_base).voltages)
-        v_double = system_double.full_solution(solver.solve(system_double).voltages)
+        engine = BatchedAnalysisEngine()
+        v_base = engine.analyze(voltage_divider(load_current=0.05)).node_voltages
+        v_double = engine.analyze(voltage_divider(load_current=0.10)).node_voltages
         drop_base = 1.0 - v_base["sink"]
         drop_double = 1.0 - v_double["sink"]
         assert drop_double == pytest.approx(2.0 * drop_base)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import IRDropAnalyzer, current_conservation_error, pad_currents
+from repro.analysis import BatchedAnalysisEngine, current_conservation_error, pad_currents
 from repro.grid import (
     Floorplan,
     FunctionalBlock,
@@ -20,6 +20,7 @@ from repro.grid import (
     generic_45nm,
     uniform_topology,
 )
+from tests.oracle import max_voltage_difference, reference_analyze
 
 _TECH = generic_45nm()
 
@@ -56,10 +57,12 @@ def _build(floorplan: Floorplan, width: float = 5.0, lines: int = 6):
 @given(data=st.data())
 def test_voltages_bounded_by_vdd_and_kcl_holds(data):
     """Node voltages never exceed Vdd, never go negative for sane loads, and
-    Kirchhoff's current law holds at every non-pad node."""
+    Kirchhoff's current law holds at every non-pad node — and the engine
+    agrees with the independent reference solve."""
     floorplan = _random_floorplan(data)
     network = _build(floorplan)
-    result = IRDropAnalyzer().analyze(network)
+    result = BatchedAnalysisEngine().analyze(network)
+    assert max_voltage_difference(reference_analyze(network), result) <= 1e-9
     voltages = np.asarray(list(result.node_voltages.values()))
     assert np.all(voltages <= _TECH.vdd + 1e-9)
     assert result.worst_ir_drop >= -1e-12
@@ -72,9 +75,9 @@ def test_superposition_in_load_currents(data, scale):
     """IR drop is linear in the load currents (the grid is a linear circuit)."""
     floorplan = _random_floorplan(data)
     network = _build(floorplan)
-    analyzer = IRDropAnalyzer()
-    base = analyzer.analyze(network)
-    scaled = analyzer.analyze(network.with_scaled_loads(scale))
+    engine = BatchedAnalysisEngine()
+    base = engine.analyze(network)
+    scaled = engine.analyze(network.with_scaled_loads(scale))
     assert scaled.worst_ir_drop == pytest.approx(scale * base.worst_ir_drop, rel=1e-6, abs=1e-12)
 
 
@@ -83,9 +86,9 @@ def test_superposition_in_load_currents(data, scale):
 def test_wider_wires_never_increase_worst_drop(data):
     """Uniformly widening every wire can only reduce the worst-case IR drop."""
     floorplan = _random_floorplan(data)
-    analyzer = IRDropAnalyzer()
-    narrow = analyzer.analyze(_build(floorplan, width=2.0))
-    wide = analyzer.analyze(_build(floorplan, width=8.0))
+    engine = BatchedAnalysisEngine()
+    narrow = engine.analyze(_build(floorplan, width=2.0))
+    wide = engine.analyze(_build(floorplan, width=8.0))
     assert wide.worst_ir_drop <= narrow.worst_ir_drop + 1e-12
 
 
@@ -95,6 +98,6 @@ def test_pad_currents_sum_to_load(data):
     """The pads together deliver exactly the total load current."""
     floorplan = _random_floorplan(data)
     network = _build(floorplan)
-    result = IRDropAnalyzer().analyze(network)
+    result = BatchedAnalysisEngine().analyze(network)
     delivered = sum(pad_currents(network, result).values())
     assert delivered == pytest.approx(network.total_load_current(), rel=1e-6)

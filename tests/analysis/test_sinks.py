@@ -15,7 +15,6 @@ from repro.analysis import (
     BatchedAnalysisEngine,
     ExceedanceCounts,
     ExceedanceCountSink,
-    IRDropAnalyzer,
     JointExceedanceSink,
     NodeHistogramSink,
     P2QuantileSink,
@@ -603,11 +602,6 @@ class TestStatisticalVectorless:
         large = analyzer.analyze_statistical(ibmpg1_grid, budget, 30, chunk_size=1000)
         assert np.array_equal(small.sweep.worst_ir_drop, large.sweep.worst_ir_drop)
         assert np.array_equal(small.sweep.average_ir_drop, large.sweep.average_ir_drop)
-
-    def test_requires_engine_backend(self, ibmpg1_grid, budget):
-        analyzer = VectorlessAnalyzer(IRDropAnalyzer())
-        with pytest.raises(TypeError, match="BatchedAnalysisEngine"):
-            analyzer.analyze_statistical(ibmpg1_grid, budget, 4)
 
     def test_pad_batch_with_sinks(self, ibmpg1_grid):
         spec = PerturbationSpec(gamma=0.1, kind=PerturbationKind.NODE_VOLTAGES, seed=9)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis import IRDropAnalyzer
 from repro.core import KirchhoffIRDropEstimator, pg_line_count
 from repro.grid import GridBuilder
+from tests.oracle import reference_analyze
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ class TestPrediction:
         """The Algorithm 2 estimate should land within ~3x of the MNA solve."""
         prediction = estimator.predict(tiny_floorplan, tiny_topology, uniform_widths)
         network = GridBuilder(technology).build(tiny_floorplan, tiny_topology, uniform_widths)
-        golden = IRDropAnalyzer().analyze(network)
+        golden = reference_analyze(network)
         ratio = prediction.worst_ir_drop / golden.worst_ir_drop
         assert 1 / 3 <= ratio <= 3.0
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis import EMChecker, IRDropAnalyzer
+from repro.analysis import EMChecker
 from repro.design import DesignRules, ReliabilityConstraints
 from repro.grid import GridBuilder, generic_45nm
+from tests.oracle import reference_analyze
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,7 @@ class TestConstruction:
 
 class TestChecks:
     def test_ir_drop_check(self, constraints, tiny_grid):
-        result = IRDropAnalyzer().analyze(tiny_grid)
+        result = reference_analyze(tiny_grid)
         assert constraints.ir_drop_satisfied(result) == (
             result.worst_ir_drop <= constraints.ir_drop_limit
         )
@@ -54,7 +55,7 @@ class TestChecks:
         self, constraints, rules, technology, tiny_floorplan, tiny_topology
     ):
         network = GridBuilder(technology).build(tiny_floorplan, tiny_topology, 10.0)
-        ir = IRDropAnalyzer().analyze(network)
+        ir = reference_analyze(network)
         em = EMChecker(technology).check(network, ir)
         widths = np.full(tiny_topology.num_lines, 10.0)
         evaluation = constraints.evaluate(
@@ -72,7 +73,7 @@ class TestChecks:
         self, constraints, rules, technology, tiny_floorplan, tiny_topology
     ):
         network = GridBuilder(technology).build(tiny_floorplan, tiny_topology, 0.8)
-        ir = IRDropAnalyzer().analyze(network)
+        ir = reference_analyze(network)
         em = EMChecker(technology).check(network, ir)
         widths = np.full(tiny_topology.num_lines, 0.8)
         evaluation = constraints.evaluate(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis import IRDropAnalyzer
 from repro.design import ConventionalPowerPlanner, DesignRules, ReliabilityConstraints
 
 
@@ -125,17 +124,6 @@ class TestCompiledLoopEquivalence:
         for iteration in compiled.iterations:
             assert iteration.analysis_time > 0
             assert iteration.build_time > 0
-
-    def test_legacy_analyzer_falls_back_to_rebuild_loop(self, small_benchmark):
-        """A non-engine analyzer cannot drive the compiled loop."""
-        planner = ConventionalPowerPlanner(
-            small_benchmark.technology,
-            analyzer=IRDropAnalyzer(),
-            use_compiled_loop=True,
-        )
-        plan = planner.plan(small_benchmark.floorplan, small_benchmark.topology)
-        assert plan.converged
-        assert plan.ir_result.solver_method not in ("",)
 
 
 class TestParameters:

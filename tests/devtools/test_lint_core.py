@@ -35,7 +35,7 @@ def test_registry_codes_are_stable_and_well_formed():
 
 
 def test_registry_has_the_documented_rule_set():
-    expected = {"RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006", "RPR007", "RPR008"}
+    expected = {"RPR001", "RPR002", "RPR003", "RPR004", "RPR006", "RPR007", "RPR008"}
     assert expected <= set(RULE_REGISTRY)
 
 

