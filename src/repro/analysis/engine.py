@@ -14,11 +14,10 @@ factorization — produced by a pluggable solver backend
 ``scikit-sparse`` is installed — keyed on the compiled grid's topology
 fingerprint, and solves arbitrarily many right-hand sides against one
 factorization — either one at a time (:meth:`analyze`) or as a single
-multi-RHS triangular solve (:meth:`analyze_batch`).  Grids derived
-by a conductance-only change
-(:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`, the
-planner's resize step) are served by **low-rank incremental updates** of
-the parent's cached factors instead of fresh factorizations.
+multi-RHS triangular solve (:meth:`analyze_batch`).  Every cache miss —
+including a :meth:`~repro.grid.compiled.CompiledGrid.with_conductances`
+clone from the planner's resize step — is one fresh factorization of the
+new matrix.
 
 Chunked and streamed sweeps run on a pluggable execution layer
 (:mod:`repro.analysis.executors`).  ``workers=`` keeps its original
@@ -64,10 +63,7 @@ from .sinks import IRDropSink, ScenarioSink
 from .solvers import (
     Factorization,
     LinearSolverError,
-    UpdateDivergenceError,
-    UpdatePolicy,
     cg_solve,
-    make_update_factorization,
     resolve_solver_backend,
 )
 
@@ -237,12 +233,9 @@ class EngineCacheInfo:
         factorizations: Number of fresh sparse factorizations performed.
         hits: Number of solves served by an already cached factorization.
         entries: Number of factorizations currently cached.
-        updates: Number of factorizations served as low-rank incremental
-            updates of a previous factorization instead of fresh ones.
-        update_fallbacks: Number of times the incremental path was
-            applicable but downgraded to a fresh factorization — the
-            update rank crossed the policy threshold, the capacitance
-            system was unusable, or an update solve diverged.
+        updates: Always 0.  Kept for record consumers from when a
+            resized grid could be served by a low-rank update.
+        update_fallbacks: Always 0, for the same reason.
         backend: Name of the resolved solver backend (``splu`` /
             ``cholmod``).
     """
@@ -253,27 +246,6 @@ class EngineCacheInfo:
     updates: int = 0
     update_fallbacks: int = 0
     backend: str = "splu"
-
-
-@dataclass
-class _FactorCacheEntry:
-    """One cached factorization plus the state incremental updates need.
-
-    Attributes:
-        factor: The factorization solves are served from (may be a
-            low-rank update object).
-        direct: The underlying fresh factorization — updates chain
-            against this, never against each other, so a resize sequence
-            of any length pays one preconditioner application per CG
-            iteration instead of recursing.
-        base_conductance: Branch conductances ``direct`` was factored
-            from; the union delta of a chained resize is computed against
-            these.
-    """
-
-    factor: Factorization
-    direct: Factorization
-    base_conductance: np.ndarray
 
 
 def _row_reductions(rows: np.ndarray) -> "BatchReductions":
@@ -588,18 +560,10 @@ class BatchedAnalysisEngine:
             :data:`~repro.analysis.solvers.SOLVER_ENV` and fall back to
             ``splu``.  Requesting ``cholmod`` without ``scikit-sparse``
             installed degrades to ``splu`` with a warning.
-        incremental_updates: When True (the default), a compiled grid
-            produced by
-            :meth:`~repro.grid.compiled.CompiledGrid.with_conductances`
-            whose parent factorization is still cached is served by a
-            low-rank incremental update (Sherman–Morrison–Woodbury at
-            small rank, base-preconditioned CG above it) instead of a
-            fresh factorization — the planner's analyse–resize fast
-            path.  Updates that cross the policy's rank threshold or
-            fail to converge fall back to fresh factorizations
-            automatically (counted in ``EngineCacheInfo``).
-        update_policy: Crossover / tolerance knobs of the incremental
-            path (:class:`~repro.analysis.solvers.UpdatePolicy`).
+        incremental_updates: Accepted only as ``False``.  Low-rank updates
+            of a cached factorization were removed because a fresh
+            factorization per conductance set is faster end to end;
+            ``True`` raises :class:`ValueError`.
     """
 
     def __init__(
@@ -609,9 +573,13 @@ class BatchedAnalysisEngine:
         default_workers: int | None = None,
         default_executor: SweepExecutor | str | None = None,
         solver: str | None = None,
-        incremental_updates: bool = True,
-        update_policy: UpdatePolicy | None = None,
+        incremental_updates: bool = False,
     ) -> None:
+        if incremental_updates:
+            raise ValueError(
+                "incremental_updates was removed: every cache miss is one "
+                "fresh factorization"
+            )
         if cache_size < 1:
             raise ValueError("cache_size must be at least 1")
         if direct_size_limit < 1:
@@ -639,14 +607,10 @@ class BatchedAnalysisEngine:
             default_executor = self._executor_from_name(default_executor)
         self._default_executor = default_executor
         self.solver_backend = resolve_solver_backend(solver)
-        self.incremental_updates = bool(incremental_updates)
-        self.update_policy = update_policy or UpdatePolicy()
         self._cache_lock = threading.Lock()
-        self._cache: OrderedDict[str, _FactorCacheEntry] = OrderedDict()  # guarded-by: _cache_lock
+        self._cache: OrderedDict[str, Factorization] = OrderedDict()  # guarded-by: _cache_lock
         self._factorizations = 0  # guarded-by: _cache_lock
         self._hits = 0  # guarded-by: _cache_lock
-        self._updates = 0  # guarded-by: _cache_lock
-        self._update_fallbacks = 0  # guarded-by: _cache_lock
 
     def _executor_from_name(self, name: str) -> SweepExecutor:
         """Default-executor construction honouring ``default_workers``."""
@@ -659,7 +623,7 @@ class BatchedAnalysisEngine:
     # Cache management
     # ------------------------------------------------------------------
     def cache_info(self) -> EngineCacheInfo:
-        """Return factorization / cache-hit / incremental-update counters.
+        """Return factorization / cache-hit counters.
 
         Taken under the cache lock so a snapshot read concurrently with
         parallel chunk workers is coherent (counters and entry count from
@@ -670,8 +634,6 @@ class BatchedAnalysisEngine:
                 factorizations=self._factorizations,
                 hits=self._hits,
                 entries=len(self._cache),
-                updates=self._updates,
-                update_fallbacks=self._update_fallbacks,
                 backend=self.solver_backend.name,
             )
 
@@ -684,165 +646,27 @@ class BatchedAnalysisEngine:
         """Per-backend cache key: factors from different backends never mix."""
         return f"{self.solver_backend.name}:{fingerprint}"
 
-    # requires-lock: _cache_lock
-    def _store_entry(self, key: str, entry: _FactorCacheEntry) -> None:
-        self._cache[key] = entry
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-
-    # requires-lock: _cache_lock
-    def _fresh_entry(self, compiled: CompiledGrid) -> _FactorCacheEntry:
-        factor = self.solver_backend.factor(compiled.reduced_matrix)
-        self._factorizations += 1
-        return _FactorCacheEntry(
-            factor=factor, direct=factor, base_conductance=compiled.conductance
-        )
-
-    def _update_entry(  # requires-lock: _cache_lock
-        self, compiled: CompiledGrid, prev: _FactorCacheEntry
-    ) -> _FactorCacheEntry | None:
-        """Build an incremental-update entry against ``prev``, or ``None``.
-
-        The delta is taken against the conductances of ``prev``'s *direct*
-        factorization, so chained resizes accumulate one union update on
-        the original factors instead of stacking update objects.  ``None``
-        means the caller should factor fresh (rank past the crossover, or
-        the update construction failed); the downgrade is counted.
-        """
-        changed = np.flatnonzero(compiled.conductance != prev.base_conductance)
-        incidence, active = compiled.update_columns(changed)
-        rank = int(active.size)
-        if rank == 0:
-            # Only RHS-side branches changed: the matrix is identical to
-            # the base, so the direct factors serve the clone as-is.
-            self._updates += 1
-            return _FactorCacheEntry(
-                factor=prev.direct,
-                direct=prev.direct,
-                base_conductance=prev.base_conductance,
-            )
-        if rank > self.update_policy.crossover_fraction * compiled.num_unknowns:
-            self._update_fallbacks += 1
-            return None
-        delta = compiled.conductance[active] - prev.base_conductance[active]
-        try:
-            factor = make_update_factorization(
-                matrix=compiled.reduced_matrix,
-                base=prev.direct,
-                update_incidence=incidence,
-                delta=delta,
-                policy=self.update_policy,
-            )
-        except LinearSolverError:
-            self._update_fallbacks += 1
-            return None
-        self._updates += 1
-        return _FactorCacheEntry(
-            factor=factor, direct=prev.direct, base_conductance=prev.base_conductance
-        )
-
     def _factor(self, compiled: CompiledGrid) -> tuple[Factorization, bool]:
         """Return the (cached) factorization of the reduced matrix.
 
         Serialised by a lock so that parallel chunk workers racing on a
         cold cache perform exactly one factorization (and keep the LRU
         bookkeeping consistent); cache hits only pay an uncontended
-        acquire.  A miss first tries the incremental path: when the grid
-        is a :meth:`~repro.grid.compiled.CompiledGrid.with_conductances`
-        clone whose parent factorization is still cached, a low-rank
-        update of those factors is built instead of a fresh
-        factorization.
+        acquire.  A miss is always one fresh factorization.
         """
         key = self._cache_key(compiled.fingerprint)
         with self._cache_lock:
-            entry = self._cache.get(key)
-            if entry is not None:
+            factor = self._cache.get(key)
+            if factor is not None:
                 self._hits += 1
                 self._cache.move_to_end(key)
-                return entry.factor, True
-            entry = None
-            if (
-                self.incremental_updates
-                and compiled.update_base_fingerprint is not None
-            ):
-                prev_key = self._cache_key(compiled.update_base_fingerprint)
-                prev = self._cache.get(prev_key)
-                if prev is not None:
-                    # Touch the base entry so a batch of clones evaluated
-                    # against one base (the planner's candidate search)
-                    # keeps evicting each other, never the shared base.
-                    self._cache.move_to_end(prev_key)
-                    entry = self._update_entry(compiled, prev)
-            if entry is None:
-                entry = self._fresh_entry(compiled)
-            self._store_entry(key, entry)
-            return entry.factor, False
-
-    def _refactor_fresh(self, compiled: CompiledGrid) -> Factorization:
-        """Replace a diverged update factorization with fresh factors."""
-        key = self._cache_key(compiled.fingerprint)
-        with self._cache_lock:
-            entry = self._cache.get(key)
-            if entry is not None and not entry.factor.is_update:
-                # Another thread already downgraded this fingerprint.
-                return entry.factor
-            self._update_fallbacks += 1
-            entry = self._fresh_entry(compiled)
-            self._store_entry(key, entry)
-            return entry.factor
-
-    def factor_update(
-        self,
-        prev: PowerGridNetwork | CompiledGrid,
-        new: PowerGridNetwork | CompiledGrid,
-    ) -> Factorization:
-        """Factor ``new`` as a low-rank update of ``prev``'s factorization.
-
-        Both grids must share one topology (same endpoints and pad mask) —
-        typically ``new`` is a
-        :meth:`~repro.grid.compiled.CompiledGrid.with_conductances` clone
-        of ``prev``.  ``prev`` is factored (or served from the cache)
-        first; ``new`` is then served by an incremental update of those
-        factors, falling back to a fresh factorization past the policy's
-        crossover threshold.  The resulting factorization is cached under
-        ``new``'s fingerprint like any other, so subsequent solves on
-        ``new`` hit it.  Works regardless of the engine's
-        ``incremental_updates`` default (this is the explicit form).
-
-        Returns:
-            The :class:`~repro.analysis.solvers.Factorization` serving
-            ``new``.
-        """
-        prev_compiled = self._compiled(prev)
-        new_compiled = self._compiled(new)
-        if (
-            prev_compiled.num_unknowns != new_compiled.num_unknowns
-            or not np.array_equal(prev_compiled.res_a, new_compiled.res_a)
-            or not np.array_equal(prev_compiled.res_b, new_compiled.res_b)
-        ):
-            raise ValueError("factor_update requires two grids sharing one topology")
-        if self._use_cg(prev_compiled):
-            raise ValueError(
-                "factor_update needs the direct path; the system exceeds "
-                f"direct_size_limit={self.direct_size_limit}"
-            )
-        self._factor(prev_compiled)
-        key = self._cache_key(new_compiled.fingerprint)
-        with self._cache_lock:
-            entry = self._cache.get(key)
-            if entry is not None:
-                self._hits += 1
-                self._cache.move_to_end(key)
-                return entry.factor
-            prev_key = self._cache_key(prev_compiled.fingerprint)
-            prev_entry = self._cache.get(prev_key)
-            if prev_entry is not None:
-                self._cache.move_to_end(prev_key)
-            entry = self._update_entry(new_compiled, prev_entry) if prev_entry else None
-            if entry is None:
-                entry = self._fresh_entry(new_compiled)
-            self._store_entry(key, entry)
-            return entry.factor
+                return factor, True
+            factor = self.solver_backend.factor(compiled.reduced_matrix)
+            self._factorizations += 1
+            self._cache[key] = factor
+            while len(self._cache) > self.cache_size:
+                self._cache.popitem(last=False)
+            return factor, False
 
     # ------------------------------------------------------------------
     # Solving
@@ -894,28 +718,13 @@ class BatchedAnalysisEngine:
             )
         return executor, False
 
-    def _solve_factored(self, compiled: CompiledGrid, rhs: np.ndarray) -> np.ndarray:
-        """Solve via the cached factorization, refactorizing on divergence.
-
-        An incremental-update factorization that cannot reach its
-        tolerance raises
-        :class:`~repro.analysis.solvers.UpdateDivergenceError`; the
-        fingerprint is then downgraded to a fresh factorization (counted
-        in ``update_fallbacks``) and the solve repeats exactly.
-        """
-        factor, _ = self._factor(compiled)
-        try:
-            return factor.solve(rhs)
-        except UpdateDivergenceError:
-            return self._refactor_fresh(compiled).solve(rhs)
-
     def _solve_unknowns(self, compiled: CompiledGrid, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve one RHS, returning unknown voltages and solver iterations."""
         if rhs.size == 0:
             return np.empty(0), 0
         if self._use_cg(compiled):
             return cg_solve(compiled.reduced_matrix, rhs)
-        return self._solve_factored(compiled, rhs), 0
+        return self._factor(compiled)[0].solve(rhs), 0
 
     def solve_voltages(
         self,
@@ -979,10 +788,7 @@ class BatchedAnalysisEngine:
             reused = False
         else:
             factor, reused = self._factor(compiled)
-            try:
-                unknown = factor.solve(rhs)
-            except UpdateDivergenceError:
-                unknown = self._refactor_fresh(compiled).solve(rhs)
+            unknown = factor.solve(rhs)
         if not np.all(np.isfinite(unknown)):
             raise LinearSolverError("batched solve produced non-finite voltages")
         return unknown, reused, iterations

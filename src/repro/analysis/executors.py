@@ -602,7 +602,6 @@ def _payload_tuple(plan: SweepPlan, threads: int) -> tuple:
         "cache_size": engine.cache_size,
         "direct_size_limit": engine.direct_size_limit,
         "solver": engine.solver_backend.name,
-        "incremental_updates": engine.incremental_updates,
     }
     return (
         engine_config,

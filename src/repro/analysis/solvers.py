@@ -1,45 +1,23 @@
-"""Pluggable sparse solver backends and low-rank incremental updates.
+"""Pluggable sparse solver backends.
 
-The reduced MNA system the engine solves is symmetric positive definite,
-but until this module existed the engine hard-wired one generic treatment:
-``scipy.sparse.linalg.splu`` for every new topology fingerprint.  The
-solver-policy layer splits that decision into three parts:
+The reduced MNA system the engine solves is symmetric positive definite.
+**Backends** (:class:`SpluBackend`, :class:`CholmodBackend`) own its
+fresh factorization; the engine factors each cache miss fresh and
+caches the result.  CHOLMOD — an SPD Cholesky
+factorization via ``scikit-sparse`` — is feature-detected: when the
+package is missing the policy resolution degrades to ``splu`` with a
+warning instead of failing, so the same configuration runs everywhere.
+Like the executor layer's ``REPRO_TEST_EXECUTOR``, the default backend
+can be supplied through the :data:`SOLVER_ENV` environment variable.
+Systems past the engine's ``direct_size_limit`` are not factored at all:
+:func:`cg_solve` runs Jacobi-preconditioned CG per RHS column.
 
-* **Backends** (:class:`SpluBackend`, :class:`CholmodBackend`) own the
-  *fresh* factorization of a reduced matrix.  CHOLMOD — an SPD Cholesky
-  factorization via ``scikit-sparse`` — is feature-detected: when the
-  package is missing the policy resolution degrades to ``splu`` with a
-  warning instead of failing, so the same configuration runs everywhere.
-  Like the executor layer's ``REPRO_TEST_EXECUTOR``, the default backend
-  can be supplied through the :data:`SOLVER_ENV` environment variable.
-  Systems past the engine's ``direct_size_limit`` are not factored at
-  all: :func:`cg_solve` runs Jacobi-preconditioned CG per RHS column.
-
-* **Incremental updates** (:func:`make_update_factorization`) serve the
-  planner's analyse–resize loop.  A resize that touches the conductances
-  of ``r`` branches changes the reduced matrix by the low-rank symmetric
-  term ``ΔG = B·diag(Δg)·Bᵀ`` where ``B`` is the (reduced-space) incidence
-  of the touched branches.  Instead of refactorizing, the new system is
-  solved against the *previous* factorization:
-
-  - at small rank, literally via the Sherman–Morrison–Woodbury identity
-    (:class:`WoodburyFactorization`) — two triangular solves against the
-    base factorization plus a dense ``r × r`` capacitance solve;
-  - at planner-scale rank, via the capacitance-free formulation
-    (:class:`PreconditionedUpdateFactorization`): conjugate gradients on
-    the *new* matrix preconditioned by the base factorization.  For an
-    upsize-only resize by factor ``α`` the update satisfies
-    ``ΔG ⪯ (α−1)·G₀``, so ``κ(G₀⁻¹G₁) ≤ α`` and CG converges in a handful
-    of iterations to far below the engine's 1e-9 equivalence bar — the
-    ``r × r`` capacitance matrix is never formed.
-
-  Both paths raise :class:`UpdateDivergenceError` when they cannot reach
-  the requested tolerance, letting the engine fall back to a fresh
-  factorization and count the downgrade.
-
-* **Policy** (:class:`UpdatePolicy`) holds the crossover knobs: the dense
-  Woodbury rank limit, the rank fraction past which an update is not
-  attempted at all, and the CG tolerance / iteration cap.
+:class:`WoodburyFactorization` and
+:class:`PreconditionedUpdateFactorization` (with :class:`UpdatePolicy`
+and :class:`UpdateDivergenceError`) solve a low-rank conductance update
+against a base factorization.  The engine no longer uses them — a fresh
+SuperLU factorization per resized grid is faster end to end — and they
+remain only as standalone solvers.
 """
 
 from __future__ import annotations
@@ -136,31 +114,30 @@ def cholmod_available() -> bool:
 
 
 class UpdateDivergenceError(LinearSolverError):
-    """An incremental update factorization could not reach its tolerance.
+    """An update factorization could not reach its tolerance.
 
-    Raised by the update solve paths (and by update construction when the
-    capacitance system is unusable); the engine responds by refactorizing
-    fresh and counting the downgrade in ``EngineCacheInfo.update_fallbacks``.
+    Raised by the update solve paths and by Woodbury construction when
+    the capacitance system is unusable.
     """
 
 
 @dataclass(frozen=True)
 class UpdatePolicy:
-    """Crossover and tolerance knobs of the incremental-update path.
+    """Crossover and tolerance knobs of the update factorizations.
 
     Attributes:
         dense_rank_limit: Largest update rank served by the explicit dense
             Woodbury path; above it the capacitance-free preconditioned-CG
             path is used (whose cost is independent of the rank).
-        crossover_fraction: Updates whose rank exceeds this fraction of the
-            unknown count are not attempted at all — a fresh factorization
-            is cheaper and unconditionally accurate (e.g. a full-grid
-            resize, where the "update" touches every branch).
+        crossover_fraction: Rank, as a fraction of the unknown count,
+            past which a caller should factor fresh instead of updating
+            (e.g. a full-grid resize, where the "update" touches every
+            branch).  Validated here; no code in this package reads it.
         rtol: Relative residual tolerance of the preconditioned-CG update
             solve.  Far below the engine's 1e-9 voltage-equivalence bar.
         maxiter: CG iteration cap; hitting it raises
-            :class:`UpdateDivergenceError` so the engine can refactorize
-            instead of returning an inaccurate solution.
+            :class:`UpdateDivergenceError` instead of returning an
+            inaccurate solution.
     """
 
     dense_rank_limit: int = 32
@@ -186,23 +163,10 @@ class Factorization:
     need is :meth:`solve` against one or many right-hand sides.
 
     Attributes:
-        backend: Name of the backend that produced the base factorization.
-        update_rank: Rank of the low-rank update this factorization
-            applies on top of its base (0 for fresh factorizations).
+        backend: Name of the backend that produced the factorization.
     """
 
     backend: str = "?"
-    update_rank: int = 0
-
-    @property
-    def is_update(self) -> bool:
-        """True when this factorization reuses a previous one's factors."""
-        return False
-
-    @property
-    def direct(self) -> "Factorization":
-        """The underlying fresh factorization (itself when not an update)."""
-        return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against a ``(n,)`` vector or ``(n, k)`` RHS block."""
@@ -400,35 +364,6 @@ class PreconditionedUpdateFactorization(Factorization):
         if rhs.ndim == 1:
             return self._solve_column(rhs)
         return np.column_stack([self._solve_column(rhs[:, k]) for k in range(rhs.shape[1])])
-
-
-def make_update_factorization(
-    matrix: sp.spmatrix,
-    base: Factorization,
-    update_incidence: sp.spmatrix,
-    delta: np.ndarray,
-    policy: UpdatePolicy,
-) -> Factorization:
-    """Build the update factorization the policy prescribes for this rank.
-
-    Args:
-        matrix: The *new* reduced matrix ``A₁`` (already assembled — the
-            compiled grid's pattern-based refresh makes this cheap).
-        base: Fresh factorization of the base matrix ``A₀``.
-        update_incidence: ``(num_unknowns, r)`` incidence ``B`` of the
-            touched branches (from
-            :meth:`~repro.grid.compiled.CompiledGrid.update_columns`).
-        delta: ``(r,)`` conductance deltas ``Δg`` (all non-zero).
-        policy: Crossover / tolerance knobs.
-
-    Raises:
-        UpdateDivergenceError: When the dense capacitance system is
-            unusable; rank-vs-crossover decisions are the caller's.
-    """
-    rank = int(delta.size)
-    if rank <= policy.dense_rank_limit:
-        return WoodburyFactorization(base, update_incidence, delta)
-    return PreconditionedUpdateFactorization(matrix, base, rank, policy)
 
 
 def resolve_solver_backend(

@@ -90,13 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     plan.add_argument(
-        "--oracle", action="store_true",
-        help=(
-            "disable low-rank incremental updates and refactorize every "
-            "resize iteration fresh (the equivalence-oracle loop)"
-        ),
-    )
-    plan.add_argument(
         "--search", action="store_true",
         help=(
             "batched candidate search: each iteration evaluates a batch of "
@@ -324,7 +317,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             warm_planner = ConventionalPowerPlanner(
                 bench.technology,
                 solver=args.solver,
-                incremental_updates=not args.oracle,
                 search=SearchConfig(batch_width=args.batch_width),
             )
             warm = warm_planner.plan(
@@ -347,7 +339,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     planner = ConventionalPowerPlanner(
         bench.technology,
         solver=args.solver,
-        incremental_updates=not args.oracle,
         search=search_config,
     )
     plan = planner.plan(bench.floorplan, bench.topology, initial_widths=initial_widths)
@@ -361,8 +352,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         "median width (um)": float(np.median(plan.widths)),
         "solver backend": cache.backend,
         "factorizations": cache.factorizations,
-        "incremental updates": cache.updates,
-        "update fallbacks": cache.update_fallbacks,
         "total time (s)": plan.total_time,
     }
     if plan.search is not None:
@@ -390,8 +379,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "analysis_time": plan.analysis_time,
             "backend": cache.backend,
             "factorizations": cache.factorizations,
-            "updates": cache.updates,
-            "update_fallbacks": cache.update_fallbacks,
         }
         if plan.search is not None:
             record["search"] = plan.search.as_record()
@@ -659,8 +646,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "scenarios_per_second": result.scenarios_per_second,
             "solver_backend": engine.cache_info().backend,
             "factorizations": engine.cache_info().factorizations,
-            "incremental_updates": engine.cache_info().updates,
-            "update_fallbacks": engine.cache_info().update_fallbacks,
         }
         args.json_out.parent.mkdir(parents=True, exist_ok=True)
         with open(args.json_out, "w") as handle:

@@ -7,6 +7,12 @@ violated — upsizes the offending lines and repeats.  The loop is exactly the
 convergence time (dominated by the repeated sparse solves) is what Table IV
 compares PowerPlanningDL against.
 
+Each distinct set of line widths is analysed with one fresh factorization
+of its conductance matrix: the one-move loop pays one per iteration, the
+batched search (:mod:`repro.design.search`) one per distinct candidate.
+The analysis engine keeps a single cached factorization, because a resized
+grid never reuses an older one.
+
 The planner's converged per-line widths are also the *golden* labels used to
 train the PowerPlanningDL width predictor.
 """
@@ -20,9 +26,8 @@ import numpy as np
 
 from ..analysis.currents import line_currents, line_currents_from_voltages
 from ..analysis.em import EMChecker, EMReport
-from ..analysis.engine import ENGINE_METHOD, BatchedAnalysisEngine
+from ..analysis.engine import BatchedAnalysisEngine
 from ..analysis.irdrop import IRDropResult
-from ..analysis.solvers import UpdatePolicy
 from ..grid.builder import GridBuilder, GridTopology
 from ..grid.compiled import CompiledGrid
 from ..grid.floorplan import Floorplan
@@ -136,8 +141,8 @@ class ConventionalPowerPlanner:
         upsize_factor: Multiplicative width increase applied to violating
             lines in each iteration.
         analyzer: The :class:`~repro.analysis.engine.BatchedAnalysisEngine`
-            running every analysis; a default one (sized for the chosen
-            loop) is created when omitted.
+            running every analysis; a default one-entry engine is created
+            when omitted.
         use_compiled_loop: When True (the default), the resize loop stays entirely
             in compiled-array land: the grid is built once with
             :meth:`~repro.grid.builder.GridBuilder.build_compiled` and each
@@ -149,19 +154,11 @@ class ConventionalPowerPlanner:
             from :data:`~repro.analysis.solvers.SOLVER_NAMES` or ``None``
             for the environment default.  Ignored when ``analyzer`` is
             passed explicitly.
-        incremental_updates: When True (the default), each resize
-            iteration of the compiled loop is solved as a low-rank
-            incremental update of the previous iteration's cached
-            factorization instead of a fresh factorization (the
-            analyse–resize fast path).  Set to False for the
-            fresh-factorization oracle loop.  Ignored when ``analyzer``
-            is passed explicitly.
         search: Enable the batched candidate search: each iteration
-            generates a batch of alternative moves, evaluates them all
-            against the single cached base factorization through the
-            incremental-update path, and commits the best.  Pass True
-            for the defaults or a :class:`~repro.design.search.SearchConfig`
-            (e.g. with a fitted
+            generates a batch of alternative moves, solves each one with
+            a fresh factorization of its conductances, and commits the
+            best.  Pass True for the defaults or a
+            :class:`~repro.design.search.SearchConfig` (e.g. with a fitted
             :class:`~repro.design.search.CandidateRanker` for
             model-guided pruning).  Requires the compiled loop.
     """
@@ -176,7 +173,6 @@ class ConventionalPowerPlanner:
         analyzer: BatchedAnalysisEngine | None = None,
         use_compiled_loop: bool = True,
         solver: str | None = None,
-        incremental_updates: bool = True,
         search: bool | SearchConfig = False,
     ) -> None:
         if max_iterations < 1:
@@ -192,30 +188,14 @@ class ConventionalPowerPlanner:
             self.search_config: SearchConfig | None = search
         else:
             self.search_config = SearchConfig() if search else None
-        # Each resize iteration changes conductances (a new fingerprint), so
-        # a deep factorization cache would only pin dead memory: keep one.
-        # One entry suffices for the incremental path too — every update
-        # entry carries its own reference to the original direct factors.
-        # The candidate search holds two: the shared base of the current
-        # batch plus the candidate in flight.  Its accumulated deltas
-        # (many commits, all updating the original factors) routinely
-        # pass the default rank crossover while the base-preconditioned
-        # CG still converges well — widths only grow, so the delta is
-        # SPD — hence the full-range crossover; divergence still falls
-        # back to a fresh factorization.
-        if analyzer is not None:
-            self.analyzer = analyzer
-        elif self.search_config is not None:
-            self.analyzer = BatchedAnalysisEngine(
-                cache_size=2,
-                solver=solver,
-                incremental_updates=incremental_updates,
-                update_policy=UpdatePolicy(crossover_fraction=1.0, maxiter=512),
-            )
-        else:
-            self.analyzer = BatchedAnalysisEngine(
-                cache_size=1, solver=solver, incremental_updates=incremental_updates
-            )
+        # Each resize iteration or candidate changes conductances (a new
+        # fingerprint), so a deeper factorization cache would only pin
+        # dead memory: keep one.
+        self.analyzer = (
+            analyzer
+            if analyzer is not None
+            else BatchedAnalysisEngine(cache_size=1, solver=solver)
+        )
         self.use_compiled_loop = use_compiled_loop
         self.em_checker = EMChecker(technology)
 
@@ -439,12 +419,11 @@ class ConventionalPowerPlanner:
         start: float,
     ) -> PowerPlanResult:
         """Batched search loop: each iteration generates a candidate batch,
-        evaluates every kept candidate against the *single* cached base
-        factorization via the engine's incremental-update path (each
-        candidate is a rank-k conductance delta or an RHS-only load
-        relief), and commits the best move.  A fitted ranker in the
-        search config prunes the batch before any solve; without one the
-        whole batch is solved (exact mode, the ranker's oracle).
+        solves every kept candidate (one fresh factorization per distinct
+        conductance set; the RHS-only decap relief shares the factors of
+        the move it rides on), and commits the best move.  A fitted ranker in
+        the search config prunes the batch before any solve; without one
+        the whole batch is solved (exact mode, the ranker's oracle).
         """
         builder = GridBuilder(self.technology)
         engine = self.analyzer
@@ -525,31 +504,43 @@ class ConventionalPowerPlanner:
                     kept = list(range(len(candidates)))
                 stats.candidates_pruned += len(candidates) - len(kept)
 
-                best = None
-                batch_start = time.perf_counter()
+                # Candidates sharing one width vector (the decap relief
+                # rides on the heuristic move's widths) are solved back to
+                # back, so the one-entry cache factors each set once.  Ties
+                # go to the lowest batch index, as in batch order.
+                groups: dict[bytes, list[int]] = {}
                 for index in kept:
-                    cand = candidates[index]
+                    groups.setdefault(candidates[index].widths.tobytes(), []).append(index)
+                best = None
+                worst_by_index: dict[int, float] = {}
+                batch_start = time.perf_counter()
+                for group in groups.values():
                     clone_start = time.perf_counter()
-                    if np.array_equal(cand.widths, widths):
+                    group_widths = candidates[group[0]].widths
+                    if np.array_equal(group_widths, widths):
                         clone = compiled
                     else:
-                        clone = builder.resize_compiled(compiled, topology, cand.widths)
+                        clone = builder.resize_compiled(compiled, topology, group_widths)
                     clone_time = time.perf_counter() - clone_start
-                    cand_loads = (
-                        loads * cand.load_scale
-                        if cand.load_scale is not None
-                        else loads
-                    )
-                    voltages = engine.solve_voltages(clone, cand_loads)
-                    cand_drops = clone.vdd - voltages
-                    cand_worst = float(cand_drops.max()) if cand_drops.size else 0.0
+                    for index in group:
+                        cand = candidates[index]
+                        cand_loads = (
+                            loads * cand.load_scale
+                            if cand.load_scale is not None
+                            else loads
+                        )
+                        voltages = engine.solve_voltages(clone, cand_loads)
+                        cand_drops = clone.vdd - voltages
+                        cand_worst = float(cand_drops.max()) if cand_drops.size else 0.0
+                        worst_by_index[index] = cand_worst
+                        if best is None or (cand_worst, index) < best[:2]:
+                            best = (cand_worst, index, clone, cand_loads, voltages, clone_time)
+                for index in kept:
                     stats.candidates_solved += 1
                     stats.training_features.append(features[index])
                     stats.training_improvements.append(
-                        analysis.worst_ir_drop - cand_worst
+                        analysis.worst_ir_drop - worst_by_index[index]
                     )
-                    if best is None or cand_worst < best[0]:
-                        best = (cand_worst, index, clone, cand_loads, voltages, clone_time)
                 batch_time = time.perf_counter() - batch_start
 
                 if best is not None:
@@ -582,16 +573,6 @@ class ConventionalPowerPlanner:
             if evaluation.all_satisfied or committed is None:
                 break
 
-            # Adopt the committed design.  Re-anchoring the committed
-            # clone's factorization through the explicit update path
-            # keeps the next batch updating an in-cache entry (the batch
-            # itself may have evicted the winner's entry).
-            if (
-                best_clone is not compiled
-                and engine.incremental_updates
-                and engine.solver_method(compiled) == ENGINE_METHOD
-            ):
-                engine.factor_update(compiled, best_clone)
             if committed.kind == "decap":
                 decap_available = False
             widths = committed.widths

@@ -5,10 +5,11 @@ heuristic move.  The search layer turns that iteration into a *candidate
 batch*: a set of alternative moves — width bumps on the worst stripes,
 pitch-style reinforcement of a stripe direction, decap insertion — each
 expressed on the frozen :class:`~repro.grid.compiled.CompiledGrid`
-topology, so the whole batch is evaluated against the *single* cached
-base factorization through the engine's low-rank incremental-update path
-(Sherman–Morrison–Woodbury / base-preconditioned CG).  Many candidates
-per factorization instead of one solve per move.
+topology, so building a candidate is a cheap conductance rewrite.  Each
+distinct candidate conductance set is solved with one fresh
+factorization; the decap candidate only changes the loads, so it shares
+the factorization of the heuristic move it rides on.  The search commits
+the best candidate of the batch instead of the first heuristic move.
 
 A :class:`CandidateRanker` — wrapping the repo's own
 :class:`~repro.nn.regression.MultiTargetRegressor`, the paper's actual
@@ -98,9 +99,9 @@ class CandidateMove:
 class CommittedMove:
     """Record of one committed search move (enough to replay it exactly).
 
-    ``widths`` and ``loads`` are absolute, so a fresh-factorization
-    oracle can rebuild and re-solve the committed design independently
-    of the incremental chain that produced ``voltages``.
+    ``widths`` and ``loads`` are absolute, so an independent engine can
+    rebuild the committed design from scratch and re-solve it, apart
+    from the resize chain that produced ``voltages``.
     """
 
     iteration: int

@@ -1,15 +1,15 @@
-"""Tests for the pluggable solver-backend layer and incremental updates.
+"""Tests for the pluggable solver-backend layer and the update factorizations.
 
-The acceptance bar: voltages served through a low-rank incremental update
-(Woodbury or preconditioned CG) must agree with a fresh factorization to
-1e-9 on every resize shape — single line, stripe, full grid (where the
-crossover policy must fall back to fresh factors instead) — and the
-CHOLMOD backend, where installed, must be solution-equivalent to SuperLU.
+The engine factors every distinct conductance set fresh: a resized grid
+is one new factorization, served from the cache afterwards.  The low-rank
+update factorizations (Woodbury, preconditioned CG) are no longer used by
+the engine; their own tests check them against a fresh factorization to
+1e-9.  The CHOLMOD backend, where installed, must be solution-equivalent
+to SuperLU.
 """
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.analysis import (
     SOLVER_ENV,
@@ -21,10 +21,10 @@ from repro.analysis import (
     UpdatePolicy,
     WoodburyFactorization,
     cholmod_available,
-    make_update_factorization,
     resolve_solver_backend,
 )
 from repro.grid import GridBuilder, SyntheticIBMSuite
+from tests.oracle import update_incidence
 
 VOLTAGE_TOLERANCE = 1e-9
 
@@ -65,139 +65,36 @@ def stripe_scale(bench):
 
 
 # ----------------------------------------------------------------------
-# Update provenance and incidence extraction on the compiled grid
+# Every cache miss is one fresh factorization
 # ----------------------------------------------------------------------
-class TestUpdateColumns:
-    def test_base_grid_has_no_update_provenance(self, base_compiled):
-        assert base_compiled.update_base_fingerprint is None
-        assert base_compiled.update_indices is None
+class TestFreshFactorization:
+    def test_incremental_updates_rejected(self):
+        with pytest.raises(ValueError, match="removed"):
+            BatchedAnalysisEngine(incremental_updates=True)
+        assert BatchedAnalysisEngine(incremental_updates=False).cache_info().updates == 0
 
-    def test_clone_records_changed_indices(self, ibmpg1_bench, builder, base_compiled):
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        assert clone.update_base_fingerprint == base_compiled.fingerprint
-        changed = clone.update_indices
-        assert changed is not None and changed.size > 0
-        untouched = np.setdiff1d(np.arange(base_compiled.num_resistors), changed)
-        assert np.array_equal(
-            clone.conductance[untouched], base_compiled.conductance[untouched]
-        )
-        assert np.all(clone.conductance[changed] != base_compiled.conductance[changed])
-
-    def test_provenance_is_per_clone_not_inherited(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        chained = resized(builder, ibmpg1_bench, clone, stripe_scale(ibmpg1_bench))
-        assert chained.update_base_fingerprint == clone.fingerprint
-        assert chained.update_base_fingerprint != base_compiled.fingerprint
-
-    def test_low_rank_term_reproduces_matrix_difference(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        """ΔG = B·diag(Δg)·Bᵀ must equal the reduced-matrix difference."""
+    def test_resized_clone_factored_fresh_once(self, ibmpg1_bench, builder, base_compiled):
+        engine = BatchedAnalysisEngine()
+        engine.analyze(base_compiled)
         clone = resized(builder, ibmpg1_bench, base_compiled, stripe_scale(ibmpg1_bench))
-        incidence, active = clone.update_columns(clone.update_indices)
-        assert incidence.shape == (clone.num_unknowns, active.size)
-        delta = clone.conductance[active] - base_compiled.conductance[active]
-        assert np.all(delta != 0.0)
-        low_rank = (incidence @ sp.diags(delta) @ incidence.T).toarray()
-        difference = (clone.reduced_matrix - base_compiled.reduced_matrix).toarray()
-        np.testing.assert_allclose(low_rank, difference, atol=1e-12)
-
-    def test_branches_without_matrix_effect_are_filtered(self, base_compiled):
-        """Pad-pad / ground-side branches contribute nothing to the reduced
-        matrix, so feeding *every* branch index must yield a reduced-rank
-        column set (never more columns than branches)."""
-        all_indices = np.arange(base_compiled.num_resistors)
-        incidence, active = base_compiled.update_columns(all_indices)
-        assert active.size <= all_indices.size
-        assert incidence.shape == (base_compiled.num_unknowns, active.size)
-
-
-# ----------------------------------------------------------------------
-# Incremental solves agree with fresh factorizations
-# ----------------------------------------------------------------------
-class TestIncrementalAgreement:
-    def check_resize(self, bench, builder, base, scale):
-        engine = BatchedAnalysisEngine()
-        oracle = BatchedAnalysisEngine(incremental_updates=False)
-        engine.analyze(base)
-        oracle.analyze(base)
-        clone = resized(builder, bench, base, scale)
-        incremental = engine.solve_voltages(clone)
-        fresh = oracle.solve_voltages(clone)
-        assert np.max(np.abs(incremental - fresh)) <= VOLTAGE_TOLERANCE
-        return engine, oracle
-
-    def test_single_line_resize(self, ibmpg1_bench, builder, base_compiled):
-        engine, oracle = self.check_resize(
-            ibmpg1_bench, builder, base_compiled, single_line_scale(ibmpg1_bench)
-        )
-        assert engine.cache_info().updates == 1
-        assert engine.cache_info().update_fallbacks == 0
-        assert engine.cache_info().factorizations == 1
-        assert oracle.cache_info().updates == 0
-        assert oracle.cache_info().factorizations == 2
-
-    def test_stripe_resize(self, ibmpg1_bench, builder, base_compiled):
-        engine, _ = self.check_resize(
-            ibmpg1_bench, builder, base_compiled, stripe_scale(ibmpg1_bench)
-        )
-        assert engine.cache_info().updates == 1
-
-    def test_downsize_also_served_incrementally(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        scale = np.ones(ibmpg1_bench.topology.num_lines)
-        scale[1] = 0.6
-        engine, _ = self.check_resize(ibmpg1_bench, builder, base_compiled, scale)
-        assert engine.cache_info().updates == 1
-
-    def test_chained_resizes_update_the_original_factors(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        """Resize-of-a-resize still references the first direct factors;
-        updates never stack on updates."""
-        engine = BatchedAnalysisEngine()
-        oracle = BatchedAnalysisEngine(incremental_updates=False)
-        engine.analyze(base_compiled)
-        first = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        engine.analyze(first)
-        second = resized(builder, ibmpg1_bench, first, stripe_scale(ibmpg1_bench))
-        incremental = engine.solve_voltages(second)
-        fresh = oracle.solve_voltages(second)
-        assert np.max(np.abs(incremental - fresh)) <= VOLTAGE_TOLERANCE
-        info = engine.cache_info()
-        assert info.updates == 2
-        assert info.factorizations == 1
-        factor, _ = engine._factor(second)
-        assert factor.is_update
-        assert factor.direct is engine._factor(base_compiled)[0]
-
-    def test_full_grid_resize_crosses_over_to_fresh_factors(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        engine = BatchedAnalysisEngine()
-        engine.analyze(base_compiled)
-        clone = resized(
-            builder,
-            ibmpg1_bench,
-            base_compiled,
-            np.full(ibmpg1_bench.topology.num_lines, 1.6),
-        )
         voltages = engine.solve_voltages(clone)
         info = engine.cache_info()
-        assert info.update_fallbacks == 1
-        assert info.updates == 0
-        assert info.factorizations == 2
-        fresh = BatchedAnalysisEngine().solve_voltages(clone)
-        np.testing.assert_array_equal(voltages, fresh)
+        assert (info.factorizations, info.hits, info.updates) == (2, 0, 0)
+        np.testing.assert_array_equal(engine.solve_voltages(clone), voltages)
+        info = engine.cache_info()
+        assert (info.factorizations, info.hits, info.updates) == (2, 1, 0)
+        # The clone is the same matrix as a grid built at those widths.
+        rebuilt = builder.build_compiled(
+            ibmpg1_bench.floorplan, ibmpg1_bench.topology, 5.0 * stripe_scale(ibmpg1_bench)
+        )
+        np.testing.assert_array_equal(
+            BatchedAnalysisEngine().solve_voltages(rebuilt), voltages
+        )
 
     def test_identical_conductances_hit_the_cache(self, base_compiled):
         """A clone whose conductances did not change keeps the fingerprint,
-        so it is served as a plain cache hit — no update is even built."""
+        so it is served as a plain cache hit."""
         clone = base_compiled.with_conductances(base_compiled.conductance.copy())
-        assert clone.update_indices.size == 0
         assert clone.fingerprint == base_compiled.fingerprint
         engine = BatchedAnalysisEngine()
         engine.analyze(base_compiled)
@@ -205,40 +102,6 @@ class TestIncrementalAgreement:
         info = engine.cache_info()
         assert info.factorizations == 1
         assert info.hits == 1
-        assert info.updates == 0
-
-    def test_rank_zero_update_reuses_direct_factors(self, base_compiled):
-        """A delta with no matrix effect (rank 0) serves the clone with the
-        base entry's direct factors instead of building anything."""
-        engine = BatchedAnalysisEngine()
-        engine.analyze(base_compiled)
-        entry = engine._cache[engine._cache_key(base_compiled.fingerprint)]
-        clone = base_compiled.with_conductances(base_compiled.conductance.copy())
-        rank_zero = engine._update_entry(clone, entry)
-        assert rank_zero is not None
-        assert rank_zero.factor is entry.direct
-        assert engine.cache_info().updates == 1
-        assert engine.cache_info().factorizations == 1
-
-    def test_update_not_attempted_when_base_evicted(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        engine = BatchedAnalysisEngine()
-        engine.analyze(base_compiled)
-        engine.clear_cache()
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        engine.analyze(clone)
-        info = engine.cache_info()
-        assert info.updates == 0
-        assert info.factorizations == 2
-
-    def test_incremental_updates_disabled(self, ibmpg1_bench, builder, base_compiled):
-        engine = BatchedAnalysisEngine(incremental_updates=False)
-        engine.analyze(base_compiled)
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        engine.analyze(clone)
-        assert engine.cache_info().updates == 0
-        assert engine.cache_info().factorizations == 2
 
 
 # ----------------------------------------------------------------------
@@ -248,18 +111,13 @@ class TestUpdateFactorizations:
     @pytest.fixture(scope="class")
     def update_pieces(self, ibmpg1_bench, builder, base_compiled):
         clone = resized(builder, ibmpg1_bench, base_compiled, stripe_scale(ibmpg1_bench))
-        incidence, active = clone.update_columns(clone.update_indices)
-        delta = clone.conductance[active] - base_compiled.conductance[active]
+        incidence, delta = update_incidence(base_compiled, clone)
         base_factor = SpluBackend().factor(base_compiled.reduced_matrix)
         return clone, base_factor, incidence, delta
 
     def test_dense_woodbury_matches_direct_solve(self, update_pieces):
         clone, base_factor, incidence, delta = update_pieces
-        policy = UpdatePolicy(dense_rank_limit=int(delta.size))
-        factor = make_update_factorization(
-            clone.reduced_matrix, base_factor, incidence, delta, policy
-        )
-        assert isinstance(factor, WoodburyFactorization)
+        factor = WoodburyFactorization(base_factor, incidence, delta)
         assert factor.is_update and factor.update_rank == delta.size
         assert factor.direct is base_factor
         rhs = clone.rhs()
@@ -269,10 +127,9 @@ class TestUpdateFactorizations:
     def test_preconditioned_cg_matches_direct_solve(self, update_pieces):
         clone, base_factor, incidence, delta = update_pieces
         policy = UpdatePolicy(dense_rank_limit=0)
-        factor = make_update_factorization(
-            clone.reduced_matrix, base_factor, incidence, delta, policy
+        factor = PreconditionedUpdateFactorization(
+            clone.reduced_matrix, base_factor, delta.size, policy
         )
-        assert isinstance(factor, PreconditionedUpdateFactorization)
         rhs = clone.rhs()
         direct = SpluBackend().factor(clone.reduced_matrix).solve(rhs)
         assert np.max(np.abs(factor.solve(rhs) - direct)) <= VOLTAGE_TOLERANCE
@@ -281,8 +138,8 @@ class TestUpdateFactorizations:
     def test_block_rhs_solves_column_wise(self, update_pieces):
         clone, base_factor, incidence, delta = update_pieces
         policy = UpdatePolicy(dense_rank_limit=0)
-        factor = make_update_factorization(
-            clone.reduced_matrix, base_factor, incidence, delta, policy
+        factor = PreconditionedUpdateFactorization(
+            clone.reduced_matrix, base_factor, delta.size, policy
         )
         block = np.column_stack([clone.rhs(), 2.0 * clone.rhs()])
         direct = SpluBackend().factor(clone.reduced_matrix).solve(block)
@@ -291,30 +148,11 @@ class TestUpdateFactorizations:
     def test_iteration_cap_raises_divergence(self, update_pieces):
         clone, base_factor, incidence, delta = update_pieces
         policy = UpdatePolicy(dense_rank_limit=0, rtol=1e-15, maxiter=1)
-        factor = make_update_factorization(
-            clone.reduced_matrix, base_factor, incidence, delta, policy
+        factor = PreconditionedUpdateFactorization(
+            clone.reduced_matrix, base_factor, delta.size, policy
         )
         with pytest.raises(UpdateDivergenceError):
             factor.solve(clone.rhs())
-
-    def test_engine_downgrades_on_divergence(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        """A diverging update must be replaced by fresh factors mid-solve,
-        still returning accurate voltages."""
-        engine = BatchedAnalysisEngine(
-            update_policy=UpdatePolicy(dense_rank_limit=0, rtol=1e-15, maxiter=1)
-        )
-        engine.analyze(base_compiled)
-        clone = resized(builder, ibmpg1_bench, base_compiled, stripe_scale(ibmpg1_bench))
-        voltages = engine.solve_voltages(clone)
-        info = engine.cache_info()
-        assert info.updates == 1  # the update was built...
-        assert info.update_fallbacks == 1  # ...then downgraded at solve time
-        assert info.factorizations == 2
-        fresh = BatchedAnalysisEngine().solve_voltages(clone)
-        assert np.max(np.abs(voltages - fresh)) <= VOLTAGE_TOLERANCE
-        assert not engine._factor(clone)[0].is_update
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -327,34 +165,6 @@ class TestUpdateFactorizations:
             UpdatePolicy(rtol=0.0)
         with pytest.raises(ValueError):
             UpdatePolicy(maxiter=0)
-
-
-# ----------------------------------------------------------------------
-# The explicit factor_update API
-# ----------------------------------------------------------------------
-class TestFactorUpdate:
-    def test_explicit_update_and_cache_hit(self, ibmpg1_bench, builder, base_compiled):
-        engine = BatchedAnalysisEngine(incremental_updates=False)
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        factor = engine.factor_update(base_compiled, clone)
-        assert factor.is_update and factor.update_rank > 0
-        assert engine.cache_info().updates == 1
-        again = engine.factor_update(base_compiled, clone)
-        assert again is factor
-        # The repeat call hits twice: once re-serving the base factors,
-        # once finding the update entry under the clone's fingerprint.
-        assert engine.cache_info().hits == 2
-
-    def test_topology_mismatch_rejected(self, base_compiled, tiny_grid):
-        engine = BatchedAnalysisEngine()
-        with pytest.raises(ValueError, match="sharing one topology"):
-            engine.factor_update(base_compiled, tiny_grid.compile())
-
-    def test_cg_sized_systems_rejected(self, ibmpg1_bench, builder, base_compiled):
-        engine = BatchedAnalysisEngine(direct_size_limit=4)
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        with pytest.raises(ValueError, match="direct"):
-            engine.factor_update(base_compiled, clone)
 
 
 # ----------------------------------------------------------------------
@@ -435,17 +245,6 @@ class TestCholmodEquivalence:
         assert np.max(np.abs(diff)) <= VOLTAGE_TOLERANCE
         assert cholmod.cache_info().backend == "cholmod"
 
-    def test_incremental_updates_on_cholmod_base(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        engine = BatchedAnalysisEngine(solver="cholmod")
-        engine.analyze(base_compiled)
-        clone = resized(builder, ibmpg1_bench, base_compiled, stripe_scale(ibmpg1_bench))
-        incremental = engine.solve_voltages(clone)
-        fresh = BatchedAnalysisEngine(solver="splu").solve_voltages(clone)
-        assert np.max(np.abs(incremental - fresh)) <= VOLTAGE_TOLERANCE
-        assert engine.cache_info().updates == 1
-
 
 # ----------------------------------------------------------------------
 # Counters and cache-key semantics
@@ -457,13 +256,13 @@ class TestCacheSemantics:
         clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
         engine.analyze(clone)
         before = engine.cache_info()
-        assert before.updates == 1 and before.entries == 2
+        assert before.factorizations == 2 and before.entries == 2
+        engine.analyze(clone)
         engine.clear_cache()
         after = engine.cache_info()
         assert after.entries == 0
         assert after.factorizations == before.factorizations
-        assert after.updates == before.updates
-        assert after.update_fallbacks == before.update_fallbacks
+        assert after.hits == 1
 
     def test_cache_keys_are_backend_qualified(self, base_compiled):
         engine = BatchedAnalysisEngine()

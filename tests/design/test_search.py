@@ -36,6 +36,16 @@ def exact_search_plan(small_benchmark, tiny_start):
     planner = ConventionalPowerPlanner(
         small_benchmark.technology, max_iterations=BUDGET, search=True
     )
+    # Record the conductance set (fingerprint) of every grid the plan solves.
+    engine = planner.analyzer
+    solve_voltages = engine.solve_voltages
+    engine.solved_fingerprints = []
+
+    def recording_solve(network, loads=None):
+        engine.solved_fingerprints.append(network.fingerprint)
+        return solve_voltages(network, loads)
+
+    engine.solve_voltages = recording_solve
     plan = planner.plan(
         small_benchmark.floorplan,
         small_benchmark.topology,
@@ -47,7 +57,7 @@ def exact_search_plan(small_benchmark, tiny_start):
 @pytest.fixture(scope="module")
 def baseline_plan(small_benchmark, tiny_start):
     planner = ConventionalPowerPlanner(
-        small_benchmark.technology, max_iterations=BUDGET, incremental_updates=False
+        small_benchmark.technology, max_iterations=BUDGET
     )
     return planner.plan(
         small_benchmark.floorplan,
@@ -75,19 +85,22 @@ class TestExactSearch:
             baseline_plan.ir_result.worst_ir_drop + 1e-12
         )
 
-    def test_single_factorization_for_whole_search(self, exact_search_plan):
+    def test_one_factorization_per_distinct_conductance_set(self, exact_search_plan):
         planner, plan = exact_search_plan
         cache = planner.analyzer.cache_info()
+        solved = planner.analyzer.solved_fingerprints
         assert plan.search.moves_committed >= 1
-        # The whole search — every candidate of every batch — is served
-        # by incremental updates of one cached base factorization.
-        assert cache.factorizations == 1
-        assert cache.updates >= plan.search.candidates_solved - 1
+        # The starting grid plus every solved candidate.
+        assert len(solved) == plan.search.candidates_solved + 1
+        assert cache.updates == 0
+        assert cache.factorizations == len(set(solved))
+        assert cache.factorizations < len(solved)  # decap reuses its widths' factors
+        assert cache.entries == 1
 
     def test_committed_moves_match_fresh_oracle(self, exact_search_plan, small_benchmark):
         _, plan = exact_search_plan
         builder = GridBuilder(small_benchmark.technology)
-        oracle = BatchedAnalysisEngine(incremental_updates=False)
+        oracle = BatchedAnalysisEngine()
         for move in plan.search.committed:
             fresh = builder.build_compiled(
                 small_benchmark.floorplan, small_benchmark.topology, move.widths

@@ -133,3 +133,34 @@ def max_voltage_difference(expected: IRDropResult, actual: IRDropResult) -> floa
         abs(voltage - actual.node_voltages[name])
         for name, voltage in expected.node_voltages.items()
     )
+
+
+def update_incidence(base, clone) -> tuple[sp.csc_matrix, np.ndarray]:
+    """Reduced-space incidence ``B`` and deltas of the branches two grids differ on.
+
+    ``base`` and ``clone`` are compiled grids on one topology.  Every branch
+    whose conductance changed contributes one column: ``e_i`` when one
+    endpoint is a free node ``i`` (the other a pad or ground) and
+    ``e_i - e_j`` when both are free; branches with no free endpoint do
+    not touch the reduced matrix and are dropped.  Then
+    ``clone.reduced_matrix - base.reduced_matrix == B @ diag(delta) @ B.T``.
+    """
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[float] = []
+    delta: list[float] = []
+    for branch in np.flatnonzero(clone.conductance != base.conductance):
+        free = [
+            int(clone.unknown_index[node])
+            for node in (clone.res_a[branch], clone.res_b[branch])
+            if node >= 0 and not clone.is_pad[node]
+        ]
+        if not free:
+            continue
+        for sign, row in zip((1.0, -1.0), free):
+            rows.append(row)
+            cols.append(len(delta))
+            data.append(sign)
+        delta.append(float(clone.conductance[branch] - base.conductance[branch]))
+    incidence = sp.csc_matrix((data, (rows, cols)), shape=(clone.num_unknowns, len(delta)))
+    return incidence, np.asarray(delta)
