@@ -4,55 +4,49 @@ The paper's value proposition is evaluating huge numbers of PDN scenarios
 cheaply.  This bench drives the combined pad-voltage x load-perturbation
 cross product (:meth:`BatchedAnalysisEngine.analyze_mega_sweep`) at
 ``>= 1e5`` scenarios on ``ibmpg1``, with the full sink stack attached —
-P2 / reservoir quantiles, per-node histograms, exceedance counts and a
-top-k shortlist — all in chunk-bounded memory: neither the dense
-``(num_nodes, k)`` voltage matrix nor the ``(k, num_nodes)`` scenario
-matrix is ever allocated (the cross product is generated per chunk).
+the quantile sketch, per-node histograms, exceedance counts, joint
+exceedance and a top-k shortlist — all in chunk-bounded memory: neither
+the dense ``(num_nodes, k)`` voltage matrix nor the ``(k, num_nodes)``
+scenario matrix is ever allocated (the cross product is generated per
+chunk).
 
 Before the timed run, the exact-reduction sinks (histogram, exceedance,
 top-k) and the streamed worst/mean reductions are verified **bitwise**
 against a dense single-shot reference on a cross-product subset small
-enough to materialise, and the reservoir quantile sink (sized to hold the
-whole subset) is verified bitwise against ``numpy.quantile``.
+enough to materialise, and the quantile sketch is gated against its
+documented relative error at the dense rank quantiles.
 
-After the timed sequential sweep, the same mega-sweep is re-run twice more:
+After the timed sequential sweep, the same mega-sweep is re-run on both
+axes of ``HybridExecutor`` and on the remote executor:
 
-* ``workers >= 2`` solver threads — the parallel chunk pipeline must
-  produce **bitwise-identical** reductions and sink results (asserted),
-  and the sequential-vs-threaded speedup is recorded (``>= 1.5x`` bar,
-  multi-core full-scale runners only);
-* the **process-sharded executor** at every tested shard count — the
-  scenario range splits across worker processes, each with its own
-  factorization, and the merged reductions plus every *exact* mergeable
-  sink (histogram, exceedance, joint exceedance, top-k) must again be
-  bitwise-identical (asserted; the reservoir merge is statistically
-  resampled and recorded, not asserted).  The sequential-vs-process
-  speedup is recorded and gated ``>= 2x`` by ``check_results.py`` on
-  multi-core (``cpu_count >= 4``) full-scale runners;
-* the **hybrid executor** (process shards each running the threaded chunk
-  pipeline, with the grid shipped through one zero-copy shared-memory
-  payload) at several ``shard_workers × threads_per_shard`` combinations
-  — the merged reductions and every exact mergeable sink must again be
-  bitwise-identical to the sequential sweep (asserted at every scale).
-  The sequential-vs-hybrid speedup and ``payload_bytes_shared`` are
-  recorded; ``check_results.py`` gates ``hybrid_speedup >=
-  max(parallel_speedup, process_speedup)`` on ``>= 4``-core full-scale
-  runners and ``payload_bytes_shared > 0`` everywhere, so the zero-copy
-  claim is measured rather than asserted;
-* the **remote fleet executor** (embedded localhost coordinator +
-  workers) at 1 / 2 / non-divisor shard counts — the merged reductions,
-  every exact mergeable sink and the deterministic quantile sketch must
-  be bitwise-identical to the sequential sweep at every count (asserted),
-  and the sequential-vs-remote speedup is recorded and gated ``>= 1.5x``
-  on multi-core full-scale runners.  The sketch's maximum relative error
-  against the dense rank quantiles is recorded and gated against its
-  documented ``1%`` bound at every scale.
-
-The vectorised P² fold is micro-benchmarked by replaying the sweep's
-per-scenario worst-drop stream through a fresh sink: the replayed estimate
-must match the in-sweep sink bitwise (the fold depends only on scenario
-order) and, at full scale, the fold must cost well under the solve — the
-fold is no longer the pipeline's bottleneck.
+* ``HybridExecutor(1, n)`` — one shard, ``n >= 2`` solver threads: the
+  in-process chunk pipeline must produce **bitwise-identical** reductions
+  and sink results (asserted), and the sequential-vs-threaded speedup is
+  recorded (``>= 1.5x`` bar, multi-core full-scale runners only);
+* ``HybridExecutor(n, 1)`` at every tested shard count — the scenario
+  range splits across worker processes, each with its own factorization,
+  and the merged reductions plus every mergeable sink must again be
+  bitwise-identical (asserted).  The sequential-vs-process speedup is
+  recorded and gated ``>= 2x`` by ``check_results.py`` on multi-core
+  (``cpu_count >= 4``) full-scale runners;
+* both axes at once at several ``shard_workers × threads_per_shard``
+  combinations, with the grid shipped through one zero-copy
+  shared-memory payload — the merged reductions and every mergeable sink
+  must again be bitwise-identical to the sequential sweep (asserted at
+  every scale).  The sequential-vs-hybrid speedup and
+  ``payload_bytes_shared`` are recorded; ``check_results.py`` gates
+  ``hybrid_speedup >= max(parallel_speedup, process_speedup)`` on ``>=
+  4``-core full-scale runners and ``payload_bytes_shared > 0``
+  everywhere, so the zero-copy claim is measured rather than asserted;
+* the **remote fleet executor** against a localhost coordinator and
+  worker processes the bench starts and stops itself, at 1 / 2 /
+  non-divisor shard counts — the merged reductions and every mergeable
+  sink, the quantile sketch included, must be bitwise-identical to the
+  sequential sweep at every count (asserted), and the sequential-vs-remote
+  speedup is recorded and gated ``>= 1.5x`` on multi-core full-scale
+  runners.  The sketch's maximum relative error against the dense rank
+  quantiles is recorded and gated against its documented ``1%`` bound at
+  every scale.
 
 A JSON throughput record is written to ``benchmarks/results/`` for the CI
 artifact upload and the regression checker (``check_results.py``).
@@ -66,8 +60,10 @@ Environment variables:
 from __future__ import annotations
 
 import json
+import multiprocessing as mp
 import os
-import time
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 from conftest import bench_scale, full_scale
@@ -78,12 +74,11 @@ from repro.analysis import (
     HybridExecutor,
     JointExceedanceSink,
     NodeHistogramSink,
-    P2QuantileSink,
-    ProcessShardedExecutor,
     QuantileSketchSink,
     RemoteExecutor,
-    ReservoirQuantileSink,
     TopKScenarioSink,
+    make_coordinator,
+    run_worker,
 )
 from repro.core import format_key_values
 from repro.grid import SyntheticIBMSuite, mega_sweep_matrices
@@ -109,8 +104,6 @@ REMOTE_WORKER_COUNTS = (1, 2, 3)
 """Single shard, even split and a non-divisor of the full scenario count."""
 SKETCH_RELATIVE_ERROR = 0.01
 """Documented bound of the quantile sketch (checked against dense ranks)."""
-P2_FOLD_BUDGET_FRACTION = 0.25
-"""Full-scale bar: the P² fold must stay below this fraction of the solve."""
 
 
 def scenario_counts(scale: float) -> tuple[int, int]:
@@ -118,18 +111,9 @@ def scenario_counts(scale: float) -> tuple[int, int]:
     return max(6, round(FULL_NUM_LOADS * scale)), max(4, round(FULL_NUM_PADS * scale))
 
 
-def build_sinks(nominal_worst: float, reservoir_capacity: int) -> dict:
-    """One fresh instance of every sink the bench exercises."""
+def build_sinks(nominal_worst: float) -> dict:
+    """One fresh instance of every sink the bench exercises (all mergeable)."""
     return {
-        "p2": P2QuantileSink(QUANTILES),
-        **mergeable_sinks(nominal_worst, reservoir_capacity),
-    }
-
-
-def mergeable_sinks(nominal_worst: float, reservoir_capacity: int) -> dict:
-    """The sink stack minus P² — everything the process shards can merge."""
-    return {
-        "reservoir": ReservoirQuantileSink(reservoir_capacity, QUANTILES, seed=SEED),
         "sketch": QuantileSketchSink(QUANTILES, relative_error=SKETCH_RELATIVE_ERROR),
         "histogram": NodeHistogramSink.uniform(0.0, max(2.0 * nominal_worst, 1e-6), NUM_BINS),
         "exceedance": ExceedanceCountSink(nominal_worst),
@@ -166,11 +150,49 @@ def dense_reference(engine, grid, load_rows, pad_matrix, edges, threshold):
         "topk_index": order,
         "topk_value": worst[order],
         "topk_node": rows.argmax(axis=1)[order],
-        "quantiles": np.quantile(worst, QUANTILES),
         # The sketch targets the dense rank quantile (floor(q * (n - 1))),
         # i.e. numpy's "lower" method, within its relative-error bound.
         "quantiles_lower": np.quantile(worst, QUANTILES, method="lower"),
     }
+
+
+@contextmanager
+def remote_fleet(workers: int):
+    """A localhost coordinator thread plus ``workers`` worker processes.
+
+    Yields the coordinator URL; the workers are terminated and the
+    coordinator shut down when the block exits, on success or error.
+    """
+    server = make_coordinator("127.0.0.1", 0)
+    serve = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    serve.start()
+    # Spawned, not forked: the coordinator thread is already running.
+    context = mp.get_context("spawn")
+    processes = [
+        context.Process(
+            target=run_worker,
+            args=(server.url,),
+            kwargs={"poll_interval": 0.01, "unreachable_timeout": 10.0},
+            daemon=True,
+        )
+        for _ in range(workers)
+    ]
+    try:
+        for process in processes:
+            process.start()
+        yield server.url
+    finally:
+        for process in processes:
+            if process.pid is not None:
+                process.terminate()
+        for process in processes:
+            if process.pid is not None:
+                process.join(timeout=5.0)
+        server.shutdown()
+        serve.join(timeout=5.0)
+        server.server_close()
 
 
 def test_mega_sweep_sinks(benchmark, results_dir):
@@ -191,7 +213,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     # on a materialisable cross-product subset (loads-outer ordering).
     ref_loads = max(1, min(num_loads, REFERENCE_SCENARIO_BUDGET // num_pads))
     ref_scenarios = ref_loads * num_pads
-    ref_sinks = build_sinks(nominal.worst_ir_drop, reservoir_capacity=ref_scenarios)
+    ref_sinks = build_sinks(nominal.worst_ir_drop)
     streamed_ref = engine.analyze_mega_sweep(
         grid,
         load_matrix[:ref_loads],
@@ -218,10 +240,6 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     assert np.array_equal(topk.scenario_index, reference["topk_index"])
     assert np.array_equal(topk.worst_ir_drop, reference["topk_value"])
     assert np.array_equal(topk.worst_node_index, reference["topk_node"])
-    # Reservoir sized to the whole subset == exact empirical quantiles.
-    reservoir = ref_sinks["reservoir"].result()
-    assert reservoir.exact
-    assert np.array_equal(reservoir.values, reference["quantiles"])
     # The sketch is approximate by design; gate it against its documented
     # relative-error bound at the dense rank quantiles.
     ref_sketch = ref_sinks["sketch"].result()
@@ -236,7 +254,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
 
     # --- Timed full mega-sweep, chunk-bounded memory, one factorization.
     sweep_engine = BatchedAnalysisEngine()
-    sinks = build_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
+    sinks = build_sinks(nominal.worst_ir_drop)
     result = benchmark.pedantic(
         # workers=1 pinned: the baseline must stay sequential even when
         # REPRO_TEST_WORKERS is exported, or the speedup record lies.
@@ -256,8 +274,6 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     if full_scale():
         assert result.num_scenarios >= MIN_FULL_SCALE_SCENARIOS
 
-    p2_estimate = sinks["p2"].result()
-    reservoir_estimate = sinks["reservoir"].result()
     sketch_estimate = sinks["sketch"].result()
     sketch_reference = np.quantile(result.worst_ir_drop, QUANTILES, method="lower")
     sketch_rel_error = float(
@@ -270,40 +286,19 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     dense_voltage_bytes = 8 * result.compiled.num_nodes * result.num_scenarios
     chunk_bytes = 8 * result.compiled.num_nodes * CHUNK_SIZE
 
-    # --- P² fold micro-benchmark: replay the sweep's worst-drop stream
-    # through a fresh sink.  The vectorised multi-estimator batch step
-    # must (a) reproduce the in-sweep estimate bitwise — the fold depends
-    # only on scenario order, not on chunking — and (b) cost a small
-    # fraction of the solve, i.e. the fold is no longer the bottleneck
-    # that serialised parallel sweeps.
-    p2_replay = P2QuantileSink(QUANTILES)
-    p2_replay.bind(result.compiled, result.num_scenarios)
-    worst_stream = result.worst_ir_drop
-    fold_start = time.perf_counter()
-    for begin in range(0, worst_stream.size, CHUNK_SIZE):
-        p2_replay._consume_scalars(worst_stream[begin : begin + CHUNK_SIZE], begin)
-    p2_fold_seconds = time.perf_counter() - fold_start
-    p2_fold_fraction = p2_fold_seconds / result.analysis_time if result.analysis_time else 0.0
-    assert np.array_equal(p2_replay.result().values, p2_estimate.values)
-    if full_scale():
-        assert p2_fold_fraction < P2_FOLD_BUDGET_FRACTION, (
-            f"P² fold took {p2_fold_fraction:.1%} of the sweep — it is the "
-            "bottleneck again"
-        )
-
-    # --- Parallel chunk pipeline: same sweep on a thread pool.  Ordered
-    # sink folding makes every reduction and sink result bitwise-identical;
-    # the speedup is recorded and gated (multi-core runners only) by
-    # check_results.py.
+    # --- Thread axis: one shard, the same sweep on a thread pool.
+    # Ordered sink folding makes every reduction and sink result
+    # bitwise-identical; the speedup is recorded and gated (multi-core
+    # runners only) by check_results.py.
     parallel_engine = BatchedAnalysisEngine()
-    parallel_sinks = build_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
+    parallel_sinks = build_sinks(nominal.worst_ir_drop)
     parallel = parallel_engine.analyze_mega_sweep(
         grid,
         load_matrix,
         pad_matrix,
         chunk_size=CHUNK_SIZE,
         sinks=tuple(parallel_sinks.values()),
-        workers=PARALLEL_WORKERS,
+        executor=HybridExecutor(1, PARALLEL_WORKERS),
     )
     parallel_histogram = parallel_sinks["histogram"].result()
     sequential_histogram = sinks["histogram"].result()
@@ -323,10 +318,6 @@ def test_mega_sweep_sinks(benchmark, results_dir):
             ),
             np.array_equal(parallel_topk.scenario_index, topk.scenario_index),
             np.array_equal(parallel_topk.worst_ir_drop, topk.worst_ir_drop),
-            np.array_equal(parallel_sinks["p2"].result().values, p2_estimate.values),
-            np.array_equal(
-                parallel_sinks["reservoir"].result().values, reservoir_estimate.values
-            ),
             np.array_equal(parallel_sinks["sketch"].result().values, sketch_estimate.values),
         )
     )
@@ -336,9 +327,9 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         result.analysis_time / parallel.analysis_time if parallel.analysis_time > 0 else 0.0
     )
 
-    # --- Process-sharded executor: the scenario range splits across
-    # worker processes (one factorization and one fold each); the merged
-    # reductions and every exact mergeable sink must be bitwise-identical
+    # --- Process axis: one thread per shard, the scenario range split
+    # across worker processes (one factorization and one fold each); the
+    # merged reductions and every mergeable sink must be bitwise-identical
     # to the sequential sweep at every tested shard count.  The largest
     # shard count is timed for the recorded speedup (gated >= 2x by
     # check_results.py on multi-core full-scale runners).
@@ -347,14 +338,14 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     process_factorizations = 0
     for shards in PROCESS_SHARD_COUNTS:
         process_engine = BatchedAnalysisEngine()
-        process_sinks = mergeable_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
+        process_sinks = build_sinks(nominal.worst_ir_drop)
         process = process_engine.analyze_mega_sweep(
             grid,
             load_matrix,
             pad_matrix,
             chunk_size=CHUNK_SIZE,
             sinks=tuple(process_sinks.values()),
-            executor=ProcessShardedExecutor(shards=shards),
+            executor=HybridExecutor(shards, 1),
         )
         process_topk = process_sinks["topk"].result()
         process_matches = process_matches and all(
@@ -375,7 +366,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
                 np.array_equal(process_topk.scenario_index, topk.scenario_index),
                 np.array_equal(process_topk.worst_ir_drop, topk.worst_ir_drop),
                 # The sketch merge is aligned counter addition: bitwise
-                # identical at every shard count, unlike the reservoir.
+                # identical at every shard count.
                 np.array_equal(
                     process_sinks["sketch"].result().values, sketch_estimate.values
                 ),
@@ -384,11 +375,10 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         assert process_matches, f"process-sharded sweep diverged at {shards} shards"
         process_elapsed = process.analysis_time
         process_factorizations = process_engine.cache_info().factorizations
-        process_reservoir = process_sinks["reservoir"].result()
     process_shards = PROCESS_SHARD_COUNTS[-1]
     process_speedup = result.analysis_time / process_elapsed if process_elapsed > 0 else 0.0
 
-    # --- Hybrid executor: process shards each running the threaded chunk
+    # --- Both axes: process shards each running the threaded chunk
     # pipeline, the grid shipped once through a shared-memory payload.
     # Bitwise identity to the sequential sweep is asserted at every
     # (shard_workers, threads_per_shard) combination and every scale; the
@@ -401,7 +391,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     hybrid_stats: dict = {}
     for shard_workers, threads_per_shard in HYBRID_CONFIGS:
         hybrid_engine = BatchedAnalysisEngine()
-        hybrid_sinks = mergeable_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
+        hybrid_sinks = build_sinks(nominal.worst_ir_drop)
         hybrid_executor = HybridExecutor(
             shard_workers=shard_workers, threads_per_shard=threads_per_shard
         )
@@ -446,53 +436,56 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     hybrid_speedup = result.analysis_time / hybrid_elapsed if hybrid_elapsed > 0 else 0.0
 
     # --- Remote fleet executor: the same sweep through the coordinator /
-    # worker protocol (embedded localhost fleet), at 1 / 2 / non-divisor
-    # shard counts (oversubscribe=1 pins shards == workers).  The merged
-    # reductions and every exact mergeable sink must again be
-    # bitwise-identical to the sequential sweep, and the sketch must merge
-    # bitwise at every count.  The largest fleet is timed for the recorded
-    # speedup (gated >= 1.5x by check_results.py on multi-core full-scale
-    # runners; embedded mode pays worker spawn per sweep).
+    # worker protocol (a localhost coordinator and worker processes this
+    # bench starts and stops), at 1 / 2 / non-divisor shard counts
+    # (oversubscribe=1 pins shards == workers).  The merged reductions and
+    # every mergeable sink must again be bitwise-identical to the
+    # sequential sweep, and the sketch must merge bitwise at every count.
+    # The largest fleet is timed for the recorded speedup (gated >= 1.5x
+    # by check_results.py on multi-core full-scale runners).
     remote_matches = True
     remote_elapsed = 0.0
     remote_factorizations = 0
-    for workers in REMOTE_WORKER_COUNTS:
-        remote_engine = BatchedAnalysisEngine()
-        remote_sinks = mergeable_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
-        remote = remote_engine.analyze_mega_sweep(
-            grid,
-            load_matrix,
-            pad_matrix,
-            chunk_size=CHUNK_SIZE,
-            sinks=tuple(remote_sinks.values()),
-            executor=RemoteExecutor(workers=workers, oversubscribe=1),
-        )
-        remote_topk = remote_sinks["topk"].result()
-        remote_matches = remote_matches and all(
-            (
-                np.array_equal(remote.worst_ir_drop, result.worst_ir_drop),
-                np.array_equal(remote.average_ir_drop, result.average_ir_drop),
-                np.array_equal(remote.worst_node_index, result.worst_node_index),
-                np.array_equal(
-                    remote_sinks["histogram"].result().counts, sequential_histogram.counts
-                ),
-                np.array_equal(
-                    remote_sinks["exceedance"].result().counts, exceedance.counts
-                ),
-                np.array_equal(
-                    remote_sinks["joint"].result().violating_node_counts,
-                    joint.violating_node_counts,
-                ),
-                np.array_equal(remote_topk.scenario_index, topk.scenario_index),
-                np.array_equal(remote_topk.worst_ir_drop, topk.worst_ir_drop),
-                np.array_equal(
-                    remote_sinks["sketch"].result().values, sketch_estimate.values
+    with remote_fleet(max(REMOTE_WORKER_COUNTS)) as coordinator:
+        for workers in REMOTE_WORKER_COUNTS:
+            remote_engine = BatchedAnalysisEngine()
+            remote_sinks = build_sinks(nominal.worst_ir_drop)
+            remote = remote_engine.analyze_mega_sweep(
+                grid,
+                load_matrix,
+                pad_matrix,
+                chunk_size=CHUNK_SIZE,
+                sinks=tuple(remote_sinks.values()),
+                executor=RemoteExecutor(
+                    workers=workers, coordinator=coordinator, oversubscribe=1
                 ),
             )
-        )
-        assert remote_matches, f"remote sweep diverged at {workers} workers"
-        remote_elapsed = remote.analysis_time
-        remote_factorizations = remote_engine.cache_info().factorizations
+            remote_topk = remote_sinks["topk"].result()
+            remote_matches = remote_matches and all(
+                (
+                    np.array_equal(remote.worst_ir_drop, result.worst_ir_drop),
+                    np.array_equal(remote.average_ir_drop, result.average_ir_drop),
+                    np.array_equal(remote.worst_node_index, result.worst_node_index),
+                    np.array_equal(
+                        remote_sinks["histogram"].result().counts, sequential_histogram.counts
+                    ),
+                    np.array_equal(
+                        remote_sinks["exceedance"].result().counts, exceedance.counts
+                    ),
+                    np.array_equal(
+                        remote_sinks["joint"].result().violating_node_counts,
+                        joint.violating_node_counts,
+                    ),
+                    np.array_equal(remote_topk.scenario_index, topk.scenario_index),
+                    np.array_equal(remote_topk.worst_ir_drop, topk.worst_ir_drop),
+                    np.array_equal(
+                        remote_sinks["sketch"].result().values, sketch_estimate.values
+                    ),
+                )
+            )
+            assert remote_matches, f"remote sweep diverged at {workers} workers"
+            remote_elapsed = remote.analysis_time
+            remote_factorizations = remote_engine.cache_info().factorizations
     remote_workers = REMOTE_WORKER_COUNTS[-1]
     remote_speedup = result.analysis_time / remote_elapsed if remote_elapsed > 0 else 0.0
 
@@ -524,9 +517,6 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         "process_speedup": process_speedup,
         "process_matches": process_matches,
         "process_factorizations": process_factorizations,
-        "process_reservoir_quantiles": dict(
-            zip(map(str, QUANTILES), process_reservoir.values.tolist())
-        ),
         "hybrid_configs": [list(config) for config in HYBRID_CONFIGS],
         "hybrid_shard_workers": hybrid_shard_workers,
         "hybrid_threads_per_shard": hybrid_threads,
@@ -554,21 +544,12 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         "sketch_quantiles": dict(
             zip(map(str, QUANTILES), sketch_estimate.values.tolist())
         ),
-        "p2_fold_seconds": p2_fold_seconds,
-        "p2_fold_fraction": p2_fold_fraction,
-        "p2_fold_scenarios_per_second": (
-            result.num_scenarios / p2_fold_seconds if p2_fold_seconds > 0 else 0.0
-        ),
         "exact_sinks_match": exact_sinks_match,
         "reference_scenarios": ref_scenarios,
         "dense_voltage_bytes_avoided": dense_voltage_bytes,
         "chunk_working_set_bytes": chunk_bytes,
         "nominal_worst_ir_drop": nominal.worst_ir_drop,
         "sweep_worst_ir_drop": float(result.worst_ir_drop.max()),
-        "p2_quantiles": dict(zip(map(str, QUANTILES), p2_estimate.values.tolist())),
-        "reservoir_quantiles": dict(
-            zip(map(str, QUANTILES), reservoir_estimate.values.tolist())
-        ),
         "max_node_exceedance_rate": float(exceedance.rates.max()),
         "scenarios_with_violation": joint.scenarios_with_violation,
         "any_exceedance_rate": joint.any_exceedance_rate,
@@ -603,11 +584,9 @@ def test_mega_sweep_sinks(benchmark, results_dir):
                 "remote speedup": round(remote_speedup, 2),
                 "remote matches": remote_matches,
                 "sketch rel error": round(sketch_rel_error, 5),
-                "p2 fold (s)": round(p2_fold_seconds, 3),
-                "p2 fold fraction": round(p2_fold_fraction, 4),
                 "dense GB avoided": round(dense_voltage_bytes / 1e9, 3),
                 "chunk MB working set": round(chunk_bytes / 1e6, 3),
-                "P99 worst drop (mV)": round(p2_estimate.values[-1] * 1000.0, 3),
+                "P99 worst drop (mV)": round(sketch_estimate.values[-1] * 1000.0, 3),
                 "exact sinks match": exact_sinks_match,
             },
             title=f"streamed mega-sweep with sinks ({BENCHMARK})",

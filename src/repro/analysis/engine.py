@@ -20,18 +20,18 @@ clone from the planner's resize step — is one fresh factorization of the
 new matrix.
 
 Chunked and streamed sweeps run on a pluggable execution layer
-(:mod:`repro.analysis.executors`).  ``workers=`` keeps its original
-semantics — RHS chunks solve concurrently on a thread pool (SuperLU's
-triangular solve and the large NumPy reductions release the GIL) while the
-calling thread folds finished chunks into the reductions and sinks strictly
-in ascending scenario order, bitwise-identical to the sequential path with
-memory bounded at ``O(num_nodes * chunk_size * workers)``.  ``executor=``
-selects the strategy explicitly: ``SerialExecutor`` / ``ThreadedExecutor``
-(the above), or ``ProcessShardedExecutor``, which splits the *scenario
-range* across worker processes — each with its own factorization and its
-own fold — and merges the shard results through the
-:class:`~repro.analysis.sinks.MergeableSink` protocol, scaling sweeps past
-the GIL-bound fold.
+(:mod:`repro.analysis.executors`).  ``workers=n`` is
+``HybridExecutor(shard_workers=1, threads_per_shard=n)``: RHS chunks solve
+concurrently on a thread pool (SuperLU's triangular solve and the large
+NumPy reductions release the GIL) while the calling thread folds finished
+chunks into the reductions and sinks strictly in ascending scenario order,
+bitwise-identical to the sequential path with memory bounded at
+``O(num_nodes * chunk_size * workers)``.  ``executor=`` selects the
+strategy explicitly: ``SerialExecutor``, or a ``HybridExecutor`` with more
+than one shard, which splits the *scenario range* across worker processes
+— each with its own factorization and its own fold — and merges the shard
+results through the :class:`~repro.analysis.sinks.MergeableSink`
+protocol, scaling sweeps past the GIL-bound fold.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ from ..grid.network import PowerGridNetwork
 from .executors import (
     EXECUTOR_ENV,
     ExecutorIncompatibility,
+    HybridExecutor,
     SweepExecutor,
     SweepPlan,
-    ThreadedExecutor,
     make_executor,
 )
 from .irdrop import IRDropResult
@@ -105,8 +105,8 @@ Called with a half-open scenario range ``(begin, end)``; returns the
 pad-voltage chunk for those scenarios (either may be ``None`` to use the
 grid's own loads / pad voltages).  Sources must be pure functions of the
 range so that resuming, re-chunking or *sharding* a sweep reproduces it
-exactly — the process-sharded executor calls pickled copies of the source
-from its worker processes, each over a sub-range.
+exactly — a process-sharded sweep calls pickled copies of the source from
+its worker processes, each over a sub-range.
 """
 
 
@@ -147,8 +147,7 @@ def resolve_chunk_size(
             parallel width**.  For the hybrid executor that is
             ``shard_workers × threads_per_shard`` (its ``parallelism``
             property), since every shard process runs ``threads``
-            chunks in flight at once; the single-axis executors pass
-            their thread or shard count.  ``None`` uses
+            chunks in flight at once.  ``None`` uses
             ``os.cpu_count()``.
         memory_budget_bytes: Total bytes the in-flight chunk state may
             occupy.
@@ -450,10 +449,10 @@ class StreamedSweepResult:
         factorization_reused: True if at least one chunk was served from
             a factorization cache (the engine's, or a process shard
             worker's).
-        workers: Parallelism the sweep ran with — solver threads for the
-            serial / threaded executors, shard processes for the
-            process-sharded one, ``shard_workers × threads_per_shard``
-            for the hybrid one.  Does not affect any exact result value.
+        workers: Parallelism the sweep ran with — 1 for the serial
+            executor, ``shard_workers × threads_per_shard`` for the hybrid
+            one, ``workers × threads_per_shard`` for the remote one.  Does
+            not affect any exact result value.
         executor: Name of the executor that drove the sweep (one of
             :data:`~repro.analysis.executors.EXECUTOR_NAMES`).
         solver_method: The solver that produced every chunk
@@ -470,7 +469,7 @@ class StreamedSweepResult:
     analysis_time: float
     factorization_reused: bool
     workers: int = 1
-    executor: str = "threads"
+    executor: str = "serial"
     solver_method: str = ENGINE_METHOD
     solver_iterations: np.ndarray | None = None
 
@@ -547,10 +546,10 @@ class BatchedAnalysisEngine:
         default_executor: Sweep executor used when a caller passes neither
             ``executor=`` nor ``workers=``.  ``None`` (the default) reads
             :data:`~repro.analysis.executors.EXECUTOR_ENV` — in that case
-            sweeps the strategy cannot run (non-mergeable sinks or an
-            unpicklable source under ``processes``) fall back to the
-            threaded pipeline instead of failing — and otherwise uses the
-            threaded pipeline at ``default_workers``.  A name from
+            sweeps the strategy cannot shard (non-mergeable sinks or an
+            unpicklable source) fall back to the in-process threaded
+            pipeline instead of failing — and otherwise uses the threaded
+            pipeline (``HybridExecutor(1, default_workers)``).  A name from
             :data:`~repro.analysis.executors.EXECUTOR_NAMES` or an
             executor instance pins the strategy strictly.
         solver: Solver backend policy — a name from
@@ -600,8 +599,8 @@ class BatchedAnalysisEngine:
                 except ValueError as exc:
                     raise ValueError(f"{EXECUTOR_ENV}: {exc}") from exc
                 # Environment-selected strategies downgrade gracefully so a
-                # whole test suite can run under them without every P²/
-                # closure-source sweep failing.
+                # whole test suite can run under them without every
+                # closure-source or non-mergeable-sink sweep failing.
                 self._default_executor_lenient = True
         elif isinstance(default_executor, str):
             default_executor = self._executor_from_name(default_executor)
@@ -699,17 +698,18 @@ class BatchedAnalysisEngine:
         """Resolve the ``(executor, lenient)`` pair for one sweep.
 
         Precedence: an explicit ``executor`` argument (by instance or
-        name) wins; an explicit ``workers`` keeps its original semantics
-        — the threaded pipeline at that thread count; otherwise the
-        engine default applies (``lenient`` marks the environment-derived
-        default, whose incompatible sweeps downgrade to threads).
+        name) wins; an explicit ``workers`` means the in-process threaded
+        pipeline at that thread count (one shard); otherwise the engine
+        default applies (``lenient`` marks the environment-derived
+        default, whose incompatible sweeps downgrade to the threaded
+        pipeline).
         """
         if executor is None:
             if workers is not None:
-                return ThreadedExecutor(self._resolve_workers(workers)), False
+                return HybridExecutor(1, self._resolve_workers(workers)), False
             if self._default_executor is not None:
                 return self._default_executor, self._default_executor_lenient
-            return ThreadedExecutor(self.default_workers), False
+            return HybridExecutor(1, self.default_workers), False
         if isinstance(executor, str):
             return make_executor(executor, workers), False
         if workers is not None:
@@ -850,8 +850,9 @@ class BatchedAnalysisEngine:
 
         ``lenient`` marks an environment-default executor: if it declares
         the sweep incompatible (:class:`ExecutorIncompatibility`, raised
-        before any sink binds), the sweep downgrades to the threaded
-        pipeline at the engine's default worker count instead of failing —
+        before any sink binds), the sweep downgrades to the in-process
+        threaded pipeline at the engine's default worker count instead of
+        failing —
         with a :class:`RuntimeWarning` naming the entry point and the
         offending sink class / source, so environment-sharded suites show
         which sweeps silently ran threaded.  Returns the reductions,
@@ -879,7 +880,7 @@ class BatchedAnalysisEngine:
                 RuntimeWarning,
                 stacklevel=3,
             )
-            executor = ThreadedExecutor(self.default_workers)
+            executor = HybridExecutor(1, self.default_workers)
             reductions, reused, iterations = executor.execute(plan)
         return reductions, reused, iterations, executor
 
@@ -894,12 +895,12 @@ class BatchedAnalysisEngine:
     ) -> tuple[BatchReductions, bool, np.ndarray]:
         """Solve a sweep chunk by chunk, feeding reductions and sinks.
 
-        This is the engine-side pipeline the serial and threaded executors
-        drive (process shard workers run it too, one serial pipeline per
-        shard).  The dense ``(num_nodes, num_scenarios)`` voltage matrix
-        never exists: each ``(num_nodes, ≤chunk_size)`` chunk is folded
-        into the per-scenario reduction vectors and every attached sink,
-        then dropped.
+        This is the engine-side pipeline every executor drives — in-process
+        for the serial and single-shard sweeps, and once per shard inside
+        the worker processes of a sharded sweep.  The dense
+        ``(num_nodes, num_scenarios)`` voltage matrix never exists: each
+        ``(num_nodes, ≤chunk_size)`` chunk is folded into the per-scenario
+        reduction vectors and every attached sink, then dropped.
 
         With ``workers > 1`` the chunk solves run on a thread pool while
         this thread keeps three sequential roles: it *produces* chunks (the
@@ -1068,13 +1069,13 @@ class BatchedAnalysisEngine:
                 into (see :mod:`repro.analysis.sinks`); composes with
                 ``chunk_size``.  Each sink observes every scenario exactly
                 once, in order.
-            workers: Solver threads for the chunked path (the threaded
-                executor); results are bitwise-identical to the sequential
+            workers: Solver threads for the chunked path (one in-process
+                shard); results are bitwise-identical to the sequential
                 solve.  ``None`` uses the engine default.
             executor: Sweep-execution strategy for the chunked path — an
                 executor instance or a name from
                 :data:`~repro.analysis.executors.EXECUTOR_NAMES`
-                (``"processes"`` requires every sink to be mergeable).
+                (a sharded sweep requires every sink to be mergeable).
                 Without ``chunk_size`` the batch is a single RHS block, so
                 neither ``workers`` nor ``executor`` has any effect.
 
@@ -1210,10 +1211,10 @@ class BatchedAnalysisEngine:
         Args:
             network: The grid (or its compiled form) all scenarios share.
             scenario_source: Chunk generator; see :data:`ScenarioSource`.
-                The serial / threaded executors always call it from the
-                calling thread in ascending order; the process-sharded
-                executor calls pickled copies from its workers, each over
-                a contiguous sub-range.
+                Serial and single-shard sweeps always call it from the
+                calling thread in ascending order; a process-sharded
+                sweep calls pickled copies from its workers, each over a
+                contiguous sub-range.
             num_scenarios: Total number of scenarios to stream.
             chunk_size: RHS chunk width (and source request size).
                 ``None`` picks an adaptive width via
@@ -1295,7 +1296,7 @@ class BatchedAnalysisEngine:
                 :meth:`analyze_scenario_stream`); bitwise-identical
                 results, ~``workers``× throughput on a multi-core host.
             executor: Sweep-execution strategy (see :meth:`analyze_batch`);
-                ``"processes"`` shards the cross product across worker
+                ``"hybrid"`` shards the cross product across worker
                 processes and merges the mergeable sinks.
 
         Returns:

@@ -3,40 +3,39 @@
 :class:`~repro.analysis.engine.BatchedAnalysisEngine` describes *what* a
 sweep is — a scenario source, a chunk width, reductions and sinks.  This
 module decides *how* it runs.  A :class:`SweepExecutor` receives the
-engine's :class:`SweepPlan` and drives the chunk pipeline:
+engine's :class:`SweepPlan` and drives the chunk pipeline.  A sweep has
+two axes of parallelism, process shards × solver threads, and one
+executor covers both:
 
 * :class:`SerialExecutor` — produce → solve → fold on the calling thread.
-* :class:`ThreadedExecutor` — the PR-4 pipeline: chunk solves on a thread
-  pool (SuperLU releases the GIL) while the calling thread folds finished
-  chunks in ascending scenario order.  Bitwise-identical to serial for
-  every result, including every sink.
-* :class:`ProcessShardedExecutor` — splits the *scenario range* into
-  contiguous shards across a ``ProcessPoolExecutor``.  Each worker process
-  holds its own factorization and runs the serial pipeline over its shard
-  with fresh copies of the sinks; the parent merges the shard reductions
-  (exact by construction — per-scenario reductions are chunk-local) and
-  the shard sink snapshots via the
-  :class:`~repro.analysis.sinks.MergeableSink` protocol.  This is the
-  executor that scales past the GIL-bound fold: the sink/reduction fold
-  itself runs in parallel, one fold per shard.
-* :class:`HybridExecutor` — multiplies the two axes: process shards as
-  above, each running the *threaded* chunk pipeline over its sub-range
-  (``shard_workers × threads_per_shard`` effective parallelism), with
-  cost-based auto-balancing — the first completed shard prices the
-  remaining work, which is re-split finely enough that a straggler shard
-  cannot dominate the sweep's wall-clock.
+* :class:`HybridExecutor` — ``shard_workers × threads_per_shard``.  With
+  one shard (``HybridExecutor(1, n)``, which is what the engine's
+  ``workers=n`` means) the sweep stays in-process: chunk solves run on a
+  thread pool (SuperLU releases the GIL) while the calling thread folds
+  finished chunks in ascending scenario order, bitwise-identical to
+  serial for every result and every sink.  With more shards the
+  *scenario range* splits across a process pool; each worker holds its
+  own factorization and runs the threaded pipeline over its sub-range
+  with fresh copies of the sinks, and the parent merges the shard
+  reductions (exact by construction — per-scenario reductions are
+  chunk-local) and the shard sink snapshots via the
+  :class:`~repro.analysis.sinks.MergeableSink` protocol.
+
+:class:`~repro.analysis.remote.RemoteExecutor` ships the same shard unit
+to worker processes behind an HTTP coordinator.
 
 Executors are stateless between calls (pools are created per sweep), so
-one instance can be shared across engines and sweeps.  The sharded
-executors additionally publish a ``last_stats`` dict (shard / thread
-counts, shared-payload bytes, rebalances) describing the *most recent*
-``execute`` call — observability only, overwritten per sweep.
+one instance can be shared across engines and sweeps.
+:class:`HybridExecutor` additionally publishes a ``last_stats`` dict
+(shard / thread counts, shared-payload bytes, rebalances, tasks)
+describing the *most recent* ``execute`` call — observability only,
+overwritten per sweep.
 
 Zero-copy payloads
 ------------------
 
-Sharded executors on one host do not re-pickle the grid into every
-worker: :class:`SharedGridPayload` pickles the sweep context once with
+Process shards do not re-pickle the grid into every worker:
+:class:`SharedGridPayload` pickles the sweep context once with
 out-of-band buffers (pickle protocol 5) and places the buffer bytes —
 the compiled grid's CSR/COO arrays and the scenario matrices — into a
 single :mod:`multiprocessing.shared_memory` segment.  Workers re-attach
@@ -51,23 +50,23 @@ executor — results are identical either way.
 Process-sharding contract
 -------------------------
 
-The scenario source and the compiled grid are pickled once and shipped to
-every worker, so both must be picklable — the engine's own sources
-(matrix slices, cross products, the vectorless budget sampler) are;
-ad-hoc lambdas and closures are not.  Every sink must implement
-:class:`~repro.analysis.sinks.MergeableSink`; ``P2QuantileSink`` is
-order-dependent and therefore rejected with a pointer to the reservoir
-sink.  Incompatible sweeps raise :class:`ExecutorIncompatibility` *before*
-any sink observes the sweep — the engine downgrades to the threaded
-pipeline instead when the executor was only an environment default
-(:data:`EXECUTOR_ENV`), so exporting ``REPRO_TEST_EXECUTOR=processes``
-runs an entire test suite process-sharded wherever that is well-defined.
+A sweep that runs on more than one shard pickles the scenario source and
+the compiled grid into every worker, so both must be picklable — the
+engine's own sources (matrix slices, cross products, the vectorless
+budget sampler) are; ad-hoc lambdas and closures are not.  Every sink
+must implement :class:`~repro.analysis.sinks.MergeableSink`.  Incompatible
+sweeps raise :class:`ExecutorIncompatibility` *before* any sink observes
+the sweep — the engine downgrades to the in-process threaded pipeline
+instead when the executor was only an environment default
+(:data:`EXECUTOR_ENV`), so exporting ``REPRO_TEST_EXECUTOR=hybrid`` runs
+an entire test suite process-sharded wherever that is well-defined.  A
+single-shard sweep pickles nothing and folds in order, so it accepts any
+source and any sink, order-dependent ones included.
 
 Exactness: shard boundaries are just another chunking, so the streamed
-worst / mean / worst-node reductions and every *exact* sink (histogram,
-exceedance, joint exceedance, top-k) are bitwise-identical to the
-sequential sweep for every shard count.  The reservoir sink merges by
-weighted resampling (statistically equivalent); P² does not merge at all.
+worst / mean / worst-node reductions and every mergeable sink
+(histogram, exceedance, joint exceedance, top-k and the quantile sketch)
+are bitwise-identical to the sequential sweep for every shard count.
 """
 
 from __future__ import annotations
@@ -98,13 +97,13 @@ Lets CI (and local runs) push the whole test suite through one execution
 strategy without touching any call site: every chunked / streamed sweep
 that passes neither ``executor=`` nor ``workers=`` uses this strategy.
 Accepted values are the :data:`EXECUTOR_NAMES`; unset or empty means the
-threaded pipeline at the engine's default worker count.  Sweeps a strategy
-cannot run (non-mergeable sinks or an unpicklable source under
-``processes``) silently fall back to the threaded pipeline — an explicit
+in-process threaded pipeline at the engine's default worker count.
+Sweeps a strategy cannot shard (non-mergeable sinks or an unpicklable
+source) silently fall back to that in-process pipeline — an explicit
 ``executor=`` argument raises instead.
 """
 
-EXECUTOR_NAMES = ("serial", "threads", "processes", "hybrid", "remote")
+EXECUTOR_NAMES = ("serial", "hybrid", "remote")
 """Names accepted by :func:`make_executor` (and :data:`EXECUTOR_ENV`)."""
 
 HYBRID_SHARD_WORKERS_ENV = "REPRO_HYBRID_SHARD_WORKERS"
@@ -121,6 +120,10 @@ HYBRID_THREADS_ENV = "REPRO_HYBRID_THREADS"
 Read when ``threads_per_shard`` is not passed explicitly.  Unset means
 auto-resolve from ``os.cpu_count()`` and the shard count.
 """
+
+MAX_OVERSUBSCRIBE = 8
+"""Upper bound on tail pieces per shard worker after a cost-based re-split,
+so per-task overhead stays bounded."""
 
 
 class ExecutorIncompatibility(ValueError):
@@ -203,173 +206,44 @@ class SerialExecutor(SweepExecutor):
         return "SerialExecutor()"
 
 
-class ThreadedExecutor(SweepExecutor):
-    """Chunk solves on a thread pool, one ordered fold on the caller.
-
-    The exact PR-4 pipeline (``workers=`` on the engine entry points maps
-    to this executor): at most ``workers`` chunks are in flight, the
-    scenario source is always called from the calling thread in ascending
-    order, and finished chunks fold FIFO — so every result, including
-    every sink state, is bitwise-identical to :class:`SerialExecutor`.
-
-    Args:
-        workers: Solver threads (``None`` uses ``os.cpu_count()``).
-    """
-
-    name = "threads"
-
-    def __init__(self, workers: int | None = None) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = workers
-
-    @property
-    def parallelism(self) -> int:
-        return self.workers
-
-    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
-        return plan.engine._run_chunk_pipeline(
-            plan.compiled,
-            plan.scenario_source,
-            plan.num_scenarios,
-            plan.chunk_size,
-            plan.sinks,
-            workers=self.workers,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ThreadedExecutor(workers={self.workers})"
-
-
-class ProcessShardedExecutor(SweepExecutor):
-    """Shard the scenario range across worker processes and merge.
-
-    The sweep's ``[0, num_scenarios)`` range is split into ``shards``
-    contiguous, near-equal sub-ranges.  Each worker process unpickles the
-    compiled grid and scenario source once (pool initializer), then runs
-    the engine's serial chunk pipeline over its shard with its *own*
-    factorization and fresh deep-copies of the sinks — no GIL, no shared
-    fold thread.  The parent scatters the shard reductions into the full
-    per-scenario arrays and merges the shard sink snapshots in ascending
-    shard order through :class:`~repro.analysis.sinks.MergeableSink`.
-
-    The parent engine also warms its own factorization cache (direct path
-    only), so follow-up single solves — e.g.
-    :meth:`~repro.analysis.sinks.TopKScenarioSink.rematerialize` — reuse
-    it, and the usual one-factorization-per-sweep accounting holds.
-
-    Memory: each worker holds its own factorization plus
-    ``O(num_nodes * chunk_size)`` chunk state, so the high-water mark is
-    ``shards × `` the serial pipeline's (factorization included) — minus
-    the grid itself, which ships once through a
-    :class:`SharedGridPayload` segment all workers map instead of
-    unpickling private copies.
-
-    Args:
-        shards: Number of worker processes / scenario shards.  ``None``
-            uses ``max(2, os.cpu_count())`` so the sharded path is
-            exercised even on single-core hosts.
-        start_method: ``multiprocessing`` start method; ``None`` prefers
-            ``fork`` (cheap, copy-on-write grid) where available and the
-            platform default elsewhere.
-    """
-
-    name = "processes"
-
-    def __init__(self, shards: int | None = None, start_method: str | None = None) -> None:
-        if shards is None:
-            shards = max(2, os.cpu_count() or 1)
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        if start_method is not None and start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"start_method {start_method!r} not available; "
-                f"choose from {mp.get_all_start_methods()}"
-            )
-        self.shards = shards
-        self.start_method = start_method
-        self.last_stats: dict = {}
-
-    @property
-    def parallelism(self) -> int:
-        return self.shards
-
-    def _context(self) -> mp.context.BaseContext:
-        method = self.start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        return mp.get_context(method)
-
-    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
-        from .engine import BatchReductions
-
-        engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
-        require_mergeable_sinks(sinks, "process")
-        num_scenarios = plan.num_scenarios
-        shards = min(self.shards, num_scenarios)
-        if shards <= 1:
-            self.last_stats = {"shards": 1, "payload_bytes_shared": 0}
-            return engine._run_chunk_pipeline(
-                compiled, plan.scenario_source, num_scenarios, plan.chunk_size, sinks, workers=1
-            )
-        shared = SharedGridPayload.create(plan, "process")
-        with shared:
-            for sink in sinks:
-                sink.bind(compiled, num_scenarios)
-            reused = False
-            if not engine._use_cg(compiled):
-                _, reused = engine._factor(compiled)
-
-            ranges = shard_ranges(num_scenarios, shards)
-            with ProcessPoolExecutor(
-                max_workers=shards,
-                mp_context=self._context(),
-                initializer=_init_shard_worker,
-                initargs=(shared.descriptor,),
-            ) as pool:
-                futures = [pool.submit(_solve_shard, begin, end) for begin, end in ranges]
-                outcomes = [future.result() for future in futures]
-        self.last_stats = {"shards": shards, "payload_bytes_shared": shared.nbytes}
-        return fold_shard_outcomes(plan, outcomes, reused)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ProcessShardedExecutor(shards={self.shards})"
-
-
 class HybridExecutor(SweepExecutor):
-    """Process shards, each running the threaded chunk pipeline inside.
+    """Process shards × solver threads: the one parallel executor.
 
-    Multiplies the repo's two scaling axes: the scenario range is split
-    across ``shard_workers`` worker processes (their own factorizations,
-    parallel folds — the process axis), and *within* each shard the
-    chunk solves run on ``threads_per_shard`` solver threads (SuperLU
-    releases the GIL — the thread axis).  Effective parallelism is the
-    product, which is exactly what :attr:`parallelism` reports so
+    The scenario range is split across ``shard_workers`` worker processes
+    (their own factorizations, parallel folds — the process axis), and
+    *within* each shard the chunk solves run on ``threads_per_shard``
+    solver threads (SuperLU releases the GIL — the thread axis).
+    Effective parallelism is the product, which is exactly what
+    :attr:`parallelism` reports so
     :func:`~repro.analysis.engine.resolve_chunk_size` budgets
     ``shard_workers × threads_per_shard`` in-flight chunks against the
-    fixed memory budget.
+    fixed memory budget.  ``HybridExecutor(1, n)`` is the in-process
+    threaded pipeline; ``HybridExecutor(n, 1)`` is plain process
+    sharding.
 
     Exactness is inherited twice over: the threaded pipeline is
     bitwise-identical to serial within each shard, and shard snapshots
     merge in ascending range order — so every result, including every
-    exact sink, is bitwise-identical to :class:`SerialExecutor` for
+    mergeable sink, is bitwise-identical to :class:`SerialExecutor` for
     every ``(shards, threads, chunk_size)`` combination.
 
-    Cost-based auto-balancing: with ``rebalance`` on (the default), only
-    about half the range is committed up-front (one task per shard
-    worker).  The first task to complete prices a scenario, and the
-    held-back tail is re-split into pieces sized from that measured cost
-    — small enough that a straggler worker holds one piece instead of a
-    fixed share of the sweep, bounded by ``max_oversubscribe`` pieces
-    per worker.  Fast workers drain more tail pieces from the pool's
-    pull-based queue.  Outcomes fold in ascending range order regardless
-    of completion order, so balancing never affects results.
+    Cost-based auto-balancing: only about half the range is committed
+    up-front (one task per shard worker).  The first task to complete
+    prices a scenario, and the held-back tail is re-split into pieces
+    sized from that measured cost — small enough that a straggler worker
+    holds one piece instead of a fixed share of the sweep, bounded by
+    :data:`MAX_OVERSUBSCRIBE` pieces per worker.  Fast workers drain more
+    tail pieces from the pool's pull-based queue.  Outcomes fold in
+    ascending range order regardless of completion order, so balancing
+    never affects results.
 
     The grid ships to the workers through a :class:`SharedGridPayload` —
     one shared-memory copy of the compiled arrays for any number of
-    shards (pickle fallback where shared memory is unavailable).
+    shards (pickle fallback where shared memory is unavailable).  The
+    parent engine also warms its own factorization cache (direct path
+    only), so follow-up single solves — e.g.
+    :meth:`~repro.analysis.sinks.TopKScenarioSink.rematerialize` — reuse
+    it, and the usual one-factorization-per-sweep accounting holds.
 
     Args:
         shard_workers: Worker processes / scenario shards.  ``None``
@@ -379,24 +253,12 @@ class HybridExecutor(SweepExecutor):
         threads_per_shard: Solver threads inside each shard.  ``None``
             reads :data:`HYBRID_THREADS_ENV`, then auto-resolves so the
             product roughly matches the host CPU count.
-        start_method: ``multiprocessing`` start method; ``None`` prefers
-            ``fork`` where available.
-        rebalance: Hold back ~half the range and re-split it by measured
-            shard cost (see above).  Off, the range is split once like
-            the process-sharded executor.
-        max_oversubscribe: Upper bound on tail pieces per shard worker
-            after a re-split, so per-task overhead stays bounded.
     """
 
     name = "hybrid"
 
     def __init__(
-        self,
-        shard_workers: int | None = None,
-        threads_per_shard: int | None = None,
-        start_method: str | None = None,
-        rebalance: bool = True,
-        max_oversubscribe: int = 8,
+        self, shard_workers: int | None = None, threads_per_shard: int | None = None
     ) -> None:
         if shard_workers is None:
             raw = os.environ.get(HYBRID_SHARD_WORKERS_ENV, "").strip()
@@ -425,18 +287,8 @@ class HybridExecutor(SweepExecutor):
             threads_per_shard = max(1, min(4, cpu // shard_workers))
         if threads_per_shard < 1:
             raise ValueError("threads_per_shard must be at least 1")
-        if max_oversubscribe < 1:
-            raise ValueError("max_oversubscribe must be at least 1")
-        if start_method is not None and start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"start_method {start_method!r} not available; "
-                f"choose from {mp.get_all_start_methods()}"
-            )
         self.shard_workers = shard_workers
         self.threads_per_shard = threads_per_shard
-        self.start_method = start_method
-        self.rebalance = rebalance
-        self.max_oversubscribe = max_oversubscribe
         self.last_stats: dict = {}
 
     @property
@@ -449,19 +301,20 @@ class HybridExecutor(SweepExecutor):
         """
         return self.shard_workers * self.threads_per_shard
 
-    def _context(self) -> mp.context.BaseContext:
-        method = self.start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        return mp.get_context(method)
+    @staticmethod
+    def _context() -> mp.context.BaseContext:
+        """The pool's start method: ``fork`` where available (cheap,
+        copy-on-write grid), the platform default elsewhere."""
+        return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
 
     def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
         engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
-        require_mergeable_sinks(sinks, "hybrid")
         num_scenarios = plan.num_scenarios
         shards = min(self.shard_workers, num_scenarios)
         threads = self.threads_per_shard
         if shards <= 1:
+            # The thread axis alone: one in-process fold in scenario
+            # order, so sinks need not merge and sources need not pickle.
             self.last_stats = {
                 "shards": 1,
                 "threads_per_shard": threads,
@@ -477,6 +330,7 @@ class HybridExecutor(SweepExecutor):
                 sinks,
                 workers=threads,
             )
+        require_mergeable_sinks(sinks, "hybrid")
         shared = SharedGridPayload.create(plan, "hybrid", threads=threads)
         with shared:
             for sink in sinks:
@@ -500,8 +354,9 @@ class HybridExecutor(SweepExecutor):
         }
         return fold_shard_outcomes(plan, outcomes, reused)
 
+    @staticmethod
     def _drive(
-        self, pool: ProcessPoolExecutor, num_scenarios: int, shards: int
+        pool: ProcessPoolExecutor, num_scenarios: int, shards: int
     ) -> tuple[list[tuple], int]:
         """Submit shard tasks, re-splitting the held-back tail by cost.
 
@@ -509,7 +364,7 @@ class HybridExecutor(SweepExecutor):
         (coverage of ``[0, num_scenarios)`` is exact by construction)
         and the number of rebalance events.
         """
-        head = num_scenarios if not self.rebalance else max(shards, num_scenarios // 2)
+        head = max(shards, num_scenarios // 2)
         if num_scenarios - head < shards:
             head = num_scenarios  # tail too small to be worth re-splitting
         start = time.perf_counter()
@@ -529,7 +384,7 @@ class HybridExecutor(SweepExecutor):
             # Aim each tail piece at a quarter of the probe's wall-clock
             # (but >= ~50 ms so per-task overhead stays negligible).
             per_piece = max(1, int(rate * max(elapsed / 4.0, 0.05)))
-            pieces = min(shards * self.max_oversubscribe, max(shards, -(-tail // per_piece)))
+            pieces = min(shards * MAX_OVERSUBSCRIBE, max(shards, -(-tail // per_piece)))
             if pieces > shards:
                 rebalances = 1
             for begin, end in shard_ranges(tail, pieces):
@@ -550,20 +405,16 @@ def make_executor(name: str, workers: int | None = None) -> SweepExecutor:
 
     Args:
         name: One of :data:`EXECUTOR_NAMES`.
-        workers: Parallelism — threads for ``threads``, shards for
-            ``processes``, shard workers for ``hybrid`` (whose per-shard
-            threads come from :data:`HYBRID_THREADS_ENV` / the CPU
-            count); ``None`` = derive from ``os.cpu_count()``.
-            ``serial`` accepts only ``None`` / 1.
+        workers: Parallelism — shard workers for ``hybrid`` (whose
+            per-shard threads come from :data:`HYBRID_THREADS_ENV` / the
+            CPU count), the worker hint for ``remote``; ``None`` = derive
+            from the environment / ``os.cpu_count()``.  ``serial``
+            accepts only ``None`` / 1.
     """
     if name == "serial":
         if workers not in (None, 1):
             raise ValueError("the serial executor runs single-threaded; do not pass workers")
         return SerialExecutor()
-    if name == "threads":
-        return ThreadedExecutor(workers)
-    if name == "processes":
-        return ProcessShardedExecutor(shards=workers)
     if name == "hybrid":
         return HybridExecutor(shard_workers=workers)
     if name == "remote":
@@ -574,13 +425,14 @@ def make_executor(name: str, workers: int | None = None) -> SweepExecutor:
 
 
 # ----------------------------------------------------------------------
-# Shared shard machinery (process-sharded and remote executors)
+# Shared shard machinery (hybrid and remote executors)
 # ----------------------------------------------------------------------
 def require_mergeable_sinks(sinks: Sequence[ScenarioSink], shard_kind: str) -> None:
     """Reject sweeps whose sinks cannot merge across shards.
 
     Raised before any sink binds, so an environment-default executor can
-    downgrade the sweep to the threaded pipeline instead of failing.
+    downgrade the sweep to the in-process threaded pipeline instead of
+    failing.
     """
     non_mergeable = sorted(
         {type(sink).__name__ for sink in sinks if not isinstance(sink, MergeableSink)}
@@ -588,9 +440,8 @@ def require_mergeable_sinks(sinks: Sequence[ScenarioSink], shard_kind: str) -> N
     if non_mergeable:
         raise ExecutorIncompatibility(
             f"sinks {non_mergeable} cannot merge across {shard_kind} shards "
-            "(their state is order-dependent); use mergeable sinks — e.g. "
-            "QuantileSketchSink instead of P2QuantileSink — or the "
-            "threads executor"
+            "(their state is order-dependent); implement MergeableSink "
+            "(snapshot / merge) or run the sweep on one shard (workers=)"
         )
 
 
@@ -618,17 +469,17 @@ def _incompatibility(shard_kind: str, exc: Exception) -> ExecutorIncompatibility
         f"{shard_kind}-sharded sweeps must pickle the scenario source, the "
         "compiled grid and every sink into the worker processes; use a "
         "picklable source (e.g. MatrixScenarioSource / "
-        f"CrossProductScenarioSource) or the threads executor: {exc}"
+        f"CrossProductScenarioSource) or run the sweep on one shard (workers=): {exc}"
     )
 
 
 def pickle_sweep_payload(plan: SweepPlan, shard_kind: str, threads: int = 1) -> bytes:
     """Pickle one sweep's worker context (engine config, grid, source, sinks).
 
-    The payload is what shard workers — local processes or remote worker
-    processes — unpickle via :func:`load_shard_state` to rebuild the sweep
-    on their side.  ``threads`` is the solver-thread count each worker
-    runs its chunk pipeline with (1 = the serial pipeline).  Unpicklable
+    The payload is what remote worker processes unpickle via
+    :func:`load_shard_state` to rebuild the sweep on their side.
+    ``threads`` is the solver-thread count each worker runs its chunk
+    pipeline with (1 = the serial pipeline).  Unpicklable
     plans raise :class:`ExecutorIncompatibility` before any sink binds.
     """
     try:
@@ -740,8 +591,8 @@ def _attach_segment(name: str):
     share one tracker, so child-side registration is both wrong and
     noisy.  Python 3.13+ exposes ``track=False`` for exactly this;
     earlier versions need the registration call shimmed out for the
-    duration of the attach (pool initializers and fleet workers attach
-    from a single thread, so the shim cannot race).
+    duration of the attach (pool initializers attach from a single
+    thread, so the shim cannot race).
     """
     from multiprocessing import shared_memory
 
@@ -806,15 +657,11 @@ def load_shard_state(payload: bytes) -> dict:
 
     The worker's engine mirrors the parent's solver configuration (cache
     size, direct-vs-CG threshold) so shards solve exactly the way the
-    parent would have.  Payloads that unpickle to a
-    :class:`SharedGridPayload` descriptor (localhost fleets ship those
-    instead of full pickles) are re-attached via
-    :func:`attach_shard_state`.
+    parent would have.  Only plain :func:`pickle_sweep_payload` bytes
+    load; anything else — a :class:`SharedGridPayload` descriptor
+    included — raises instead of being interpreted.
     """
-    obj = pickle.loads(payload)
-    if isinstance(obj, tuple) and obj and obj[0] in ("shm", "pickle"):
-        return attach_shard_state(obj)
-    return _state_from_tuple(obj)
+    return _state_from_tuple(pickle.loads(payload))
 
 
 def solve_shard_range(state: dict, begin: int, end: int) -> tuple:
@@ -824,10 +671,9 @@ def solve_shard_range(state: dict, begin: int, end: int) -> tuple:
     source is shifted by ``begin`` and fresh sink copies observe
     shard-local offsets — :meth:`MergeableSink.merge` re-bases any
     indices when the parent folds the snapshots back together.  The
-    pipeline runs at the payload's ``threads`` count (1 = serial; the
-    hybrid executor and threaded fleet workers ship more) — the threaded
-    pipeline is bitwise-identical to serial, so the shard result does
-    not depend on it.
+    pipeline runs at the payload's ``threads`` count (1 = serial) — the
+    threaded pipeline is bitwise-identical to serial, so the shard result
+    does not depend on it.
     """
     source = state["source"]
     sinks: Sequence[ScenarioSink] = copy.deepcopy(state["sink_prototypes"])
@@ -841,7 +687,7 @@ def solve_shard_range(state: dict, begin: int, end: int) -> tuple:
         end - begin,
         state["chunk_size"],
         sinks,
-        workers=state.get("threads", 1),
+        workers=state["threads"],
     )
     return (
         begin,
@@ -897,12 +743,9 @@ _WORKER_STATE: dict = {}
 """Per-worker sweep context, installed once by the pool initializer."""
 
 
-def _init_shard_worker(descriptor) -> None:
+def _init_shard_worker(descriptor: tuple) -> None:
     """Install the sweep context (attaching shared memory) into this worker."""
-    if isinstance(descriptor, (bytes, bytearray)):
-        _WORKER_STATE.update(load_shard_state(descriptor))
-    else:
-        _WORKER_STATE.update(attach_shard_state(descriptor))
+    _WORKER_STATE.update(attach_shard_state(descriptor))
 
 
 def _solve_shard(begin: int, end: int) -> tuple:

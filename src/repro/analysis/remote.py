@@ -1,12 +1,12 @@
 """Cross-host sweep execution: HTTP coordinator, workers, RemoteExecutor.
 
-PR-5 made a shard a self-contained unit of work: a pickled
-``CompiledGrid`` + engine config + scenario-source range in, a tuple of
-reductions + :class:`~repro.analysis.sinks.SinkSnapshot`\\ s out.  The
-process-sharded executor ships that unit to local processes; this module
-ships the *same* unit over a socket, so a sweep can fan out across worker
-processes on any number of hosts — stdlib only (``http.server`` +
-``urllib``), no broker dependency.
+A shard is a self-contained unit of work: a pickled ``CompiledGrid`` +
+engine config + scenario-source range in, a tuple of reductions +
+:class:`~repro.analysis.sinks.SinkSnapshot`\\ s out.  The hybrid executor
+ships that unit to local processes; this module ships the *same* unit
+over a socket, so a sweep can fan out across worker processes on any
+number of hosts — stdlib only (``http.server`` + ``urllib``), no broker
+dependency.
 
 Three pieces:
 
@@ -19,11 +19,9 @@ Three pieces:
   Run via ``python -m repro.analysis.remote worker --coordinator URL``.
 * **:class:`RemoteExecutor`** — a
   :class:`~repro.analysis.executors.SweepExecutor` that submits the plan
-  to a coordinator (``coordinator=`` / :data:`COORDINATOR_ENV`) or, when
-  none is configured, hosts an *embedded* coordinator thread plus local
-  worker processes for the duration of the sweep — so
-  ``make_executor("remote")`` works out of the box and
-  ``REPRO_TEST_EXECUTOR=remote`` runs a whole test suite through the
+  to a standing coordinator (``coordinator=`` / :data:`COORDINATOR_ENV`)
+  and polls the outcome, so ``REPRO_TEST_EXECUTOR=remote`` with
+  :data:`COORDINATOR_ENV` set runs a whole test suite through the
   distributed code path.
 
 Work stealing
@@ -47,19 +45,17 @@ shard that fails ``max_attempts`` times (worker exceptions count too)
 fails the whole sweep with the recorded reason, so a poison shard cannot
 requeue forever.  Late results from a worker presumed dead are harmless:
 shards are pure functions of their range, so a duplicate completion
-overwrites with identical data.  In embedded mode the executor
-additionally respawns local workers it finds dead.
+overwrites with identical data.
 
 Determinism
 -----------
 
 Shard results merge in ascending shard order through the
 :class:`~repro.analysis.sinks.MergeableSink` protocol — the same fold the
-process-sharded executor uses — so the streamed reductions and every
-exact sink are bitwise-identical to the sequential sweep at every worker
-count, and :class:`~repro.analysis.sinks.QuantileSketchSink` (integer
-bucket counts, order-invariant) extends that guarantee to quantiles.
-Non-mergeable sinks (P²) are rejected before anything runs.
+hybrid executor uses — so the streamed reductions and every mergeable
+sink, :class:`~repro.analysis.sinks.QuantileSketchSink` included, are
+bitwise-identical to the sequential sweep at every worker count.
+Non-mergeable sinks are rejected before anything runs.
 
 Security
 --------
@@ -87,9 +83,7 @@ Protocol (all bodies are pickles unless noted)::
 from __future__ import annotations
 
 import argparse
-import atexit
 import itertools
-import multiprocessing as mp
 import os
 import pickle
 import threading
@@ -103,7 +97,6 @@ from urllib import request as _urlrequest
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .executors import (
-    SharedGridPayload,
     SweepExecutor,
     SweepPlan,
     fold_shard_outcomes,
@@ -125,16 +118,15 @@ COORDINATOR_ENV = "REPRO_REMOTE_COORDINATOR"
 When set (e.g. ``http://127.0.0.1:8765``), every :class:`RemoteExecutor`
 built without an explicit ``coordinator=`` submits its sweeps there —
 this is how CI points ``REPRO_TEST_EXECUTOR=remote`` at one coordinator +
-worker fleet for a whole test-suite run.  Unset, the executor hosts an
-embedded localhost coordinator + local workers per sweep.
+worker fleet for a whole test-suite run.  A :class:`RemoteExecutor` with
+neither raises :class:`ValueError` at construction.
 """
 
 REMOTE_WORKERS_ENV = "REPRO_REMOTE_WORKERS"
 """Environment variable sizing the executor's worker hint.
 
-Controls how many local worker processes embedded mode spawns and how
-finely the scenario range is sharded (``workers × oversubscribe``).
-Unset means ``max(2, os.cpu_count())``.
+Controls how finely the scenario range is sharded (``workers ×
+oversubscribe``).  Unset means ``max(2, os.cpu_count())``.
 """
 
 
@@ -458,24 +450,6 @@ def _request(url: str, data: bytes | None = None, timeout: float = _HTTP_TIMEOUT
         return exc.code, exc.read()
 
 
-def _evict_shard_state(state: dict) -> None:
-    """Drop an evicted payload context, detaching any shared segment.
-
-    Shm-backed states hold numpy arrays viewing the attached segment;
-    the views must be freed before the mapping can close, so clear the
-    dict first and swallow the ``BufferError`` that stray exports (e.g.
-    a result tuple still in flight) would raise — the mapping then
-    closes when those exports die.
-    """
-    segment = state.pop("segment", None)
-    state.clear()
-    if segment is not None:
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - depends on GC timing
-            pass
-
-
 def run_worker(
     coordinator: str,
     poll_interval: float = 0.05,
@@ -557,7 +531,7 @@ def run_worker(
                 continue
             cache[sweep_id] = state
             while len(cache) > max_cached_sweeps:
-                _evict_shard_state(cache.popitem(last=False)[1])
+                cache.popitem(last=False)
         try:
             result = solve_shard_range(state, task["begin"], task["end"])
             report = {"sweep": sweep_id, "task": task["task"], "result": result}
@@ -579,110 +553,6 @@ def run_worker(
     return 0
 
 
-def _embedded_worker(coordinator: str, poll_interval: float) -> None:
-    """Entry point of the local worker processes embedded mode spawns."""
-    run_worker(coordinator, poll_interval=poll_interval, unreachable_timeout=10.0)
-
-
-# ----------------------------------------------------------------------
-# Warm embedded fleet (coordinator + workers reused across sweeps)
-# ----------------------------------------------------------------------
-class _EmbeddedFleet:
-    """A warm localhost coordinator + worker pool, reused across sweeps.
-
-    Spawning worker processes (and re-importing the engine in each) costs
-    far more than a small sweep itself, so embedded mode keeps one fleet
-    per start method alive for the life of the submitting process: the
-    coordinator thread keeps serving between sweeps, and idle workers
-    keep polling ``GET /task`` (``idle_timeout=None``) until
-    :func:`shutdown_warm_fleets` — registered ``atexit`` — terminates
-    them.  Workers are daemons and exit on their own when the
-    coordinator disappears, so even an unclean parent death cannot leak
-    the fleet.
-    """
-
-    def __init__(self, start_method: str | None) -> None:
-        method = start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        self._ctx = mp.get_context(method)
-        self._lock = threading.Lock()
-        self.server = make_coordinator("127.0.0.1", 0)
-        self.url = self.server.url
-        # Fleet workers never touch the inherited server state (they only
-        # speak HTTP to it), so spawning them while the serve thread runs
-        # is safe — the same pattern the per-sweep respawn always used.
-        self._serve_thread = threading.Thread(
-            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-        self._serve_thread.start()
-        self.processes: list[mp.process.BaseProcess] = []  # guarded-by: _lock
-
-    def _spawn(self) -> mp.process.BaseProcess:
-        process = self._ctx.Process(
-            target=_embedded_worker,
-            args=(self.url, 0.01),
-            daemon=True,
-            name="repro-remote-worker",
-        )
-        process.start()
-        return process
-
-    def ensure(self, count: int) -> int:
-        """Top the pool up to ``count`` live workers; return the warm reuses."""
-        with self._lock:
-            self.processes = [process for process in self.processes if process.is_alive()]
-            reused = min(len(self.processes), count)
-            while len(self.processes) < count:
-                self.processes.append(self._spawn())
-        return reused
-
-    def repair(self) -> None:
-        """Respawn any worker that died mid-sweep (polled by the submitter)."""
-        with self._lock:
-            for index, process in enumerate(self.processes):
-                if not process.is_alive():
-                    self.processes[index] = self._spawn()
-
-    def shutdown(self) -> None:
-        with self._lock:
-            processes, self.processes = self.processes, []
-        for process in processes:
-            process.terminate()
-        for process in processes:
-            process.join(timeout=5.0)
-        self.server.shutdown()
-        self._serve_thread.join(timeout=5.0)
-        self.server.server_close()
-
-
-_FLEET_LOCK = threading.Lock()
-_WARM_FLEETS: dict = {}  # guarded-by: _FLEET_LOCK — start-method key -> _EmbeddedFleet
-
-
-def _warm_fleet(start_method: str | None) -> _EmbeddedFleet:
-    """Get or create the process-wide warm fleet for one start method."""
-    key = start_method or ""
-    with _FLEET_LOCK:
-        fleet = _WARM_FLEETS.get(key)
-        if fleet is None:
-            fleet = _EmbeddedFleet(start_method)
-            _WARM_FLEETS[key] = fleet
-    return fleet
-
-
-def shutdown_warm_fleets() -> None:
-    """Terminate the warm embedded fleets (atexit; also callable from tests)."""
-    with _FLEET_LOCK:
-        fleets = list(_WARM_FLEETS.values())
-        _WARM_FLEETS.clear()
-    for fleet in fleets:
-        fleet.shutdown()
-
-
-atexit.register(shutdown_warm_fleets)
-
-
 # ----------------------------------------------------------------------
 # The executor
 # ----------------------------------------------------------------------
@@ -690,56 +560,37 @@ class RemoteExecutor(SweepExecutor):
     """Fan a sweep's scenario shards out over a socket coordinator.
 
     Conforms to the :class:`~repro.analysis.executors.SweepExecutor`
-    contract with the same compatibility rules as the process-sharded
-    executor — every sink must be a
-    :class:`~repro.analysis.sinks.MergeableSink` and the plan must
+    contract with the same compatibility rules as a process-sharded
+    :class:`~repro.analysis.executors.HybridExecutor` — every sink must
+    be a :class:`~repro.analysis.sinks.MergeableSink` and the plan must
     pickle — and the same exactness guarantee: shard results fold in
-    ascending shard order, so reductions and every exact sink (plus the
-    deterministic :class:`~repro.analysis.sinks.QuantileSketchSink`) are
+    ascending shard order, so reductions and every mergeable sink are
     bitwise-identical to the sequential sweep at every worker count.
 
-    Two modes, selected by configuration:
-
-    * **External coordinator** (``coordinator=`` URL or
-      :data:`COORDINATOR_ENV`): the sweep is POSTed to a standing
-      coordinator whose worker fleet may span hosts; the executor polls
-      the outcome.  An unreachable coordinator fails the sweep loudly —
-      it is an operational error, not a plan incompatibility.
-    * **Embedded** (no coordinator configured): the executor uses the
-      process-wide **warm fleet** — a localhost coordinator plus
-      ``workers`` local worker processes that stay alive across
-      ``analyze_*`` calls and are shut down ``atexit`` (see
-      :func:`shutdown_warm_fleets`) — so repeated sweeps pay the worker
-      spawn cost once.  Embedded payloads travel as
-      :class:`~repro.analysis.executors.SharedGridPayload` descriptors:
-      localhost workers attach the shared-memory segment by name
-      instead of unpickling a private copy of the grid.
-
-    The range is split into ``workers × oversubscribe`` shards for
-    pull-based work stealing; see the module docstring for the policy
-    and failure semantics.  After each :meth:`execute`, ``last_stats``
-    holds the observability counters of that sweep
-    (``workers_reused``, ``payload_bytes_shared``) — overwritten per
-    sweep, read by the CLI into the sweep record.
+    The sweep is POSTed to a standing coordinator (``coordinator=`` URL
+    or :data:`COORDINATOR_ENV`) whose worker fleet may span hosts, as a
+    plain pickle payload; the executor polls the outcome.  An
+    unreachable coordinator fails the sweep loudly — it is an
+    operational error, not a plan incompatibility.  The range is split
+    into ``workers × oversubscribe`` shards for pull-based work
+    stealing; see the module docstring for the policy and failure
+    semantics.
 
     Args:
-        workers: Worker hint — embedded worker processes to spawn, and
-            the basis of the shard count.  ``None`` reads
-            :data:`REMOTE_WORKERS_ENV`, falling back to
+        workers: Worker hint — the basis of the shard count.  ``None``
+            reads :data:`REMOTE_WORKERS_ENV`, falling back to
             ``max(2, os.cpu_count())``.
         coordinator: Base URL of a standing coordinator; ``None`` reads
-            :data:`COORDINATOR_ENV`, and embedded mode serves when that
-            is unset too.
+            :data:`COORDINATOR_ENV`.  With neither, construction raises
+            :class:`ValueError`.
         oversubscribe: Shards per worker (finer-than-equal sharding).
         lease_timeout: Seconds a worker may hold a shard before it is
             presumed dead and the shard is reassigned.
         max_attempts: Attempts per shard before the sweep fails.
         poll_interval: Outcome-poll period of the submitting side.
         timeout: Overall wall-clock budget of one sweep.
-        start_method: ``multiprocessing`` start method of embedded
-            workers; ``None`` prefers ``fork`` where available.
         threads_per_shard: Solver threads each worker runs inside its
-            shard (the hybrid axis, shipped in the payload).
+            shard (the thread axis, shipped in the payload).
     """
 
     name = "remote"
@@ -753,7 +604,6 @@ class RemoteExecutor(SweepExecutor):
         max_attempts: int = 3,
         poll_interval: float = 0.02,
         timeout: float = 600.0,
-        start_method: str | None = None,
         threads_per_shard: int = 1,
     ) -> None:
         if workers is None:
@@ -779,33 +629,26 @@ class RemoteExecutor(SweepExecutor):
             raise ValueError("timeout must be positive")
         if threads_per_shard < 1:
             raise ValueError("threads_per_shard must be at least 1")
-        if start_method is not None and start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"start_method {start_method!r} not available; "
-                f"choose from {mp.get_all_start_methods()}"
-            )
         if coordinator is None:
             coordinator = os.environ.get(COORDINATOR_ENV, "").strip() or None
+        if not coordinator:
+            raise ValueError(
+                f"the remote executor needs a coordinator: pass coordinator= or set "
+                f"{COORDINATOR_ENV} (start one with `python -m repro.analysis.remote "
+                "coordinator`)"
+            )
         self.workers = workers
-        self.coordinator = coordinator.rstrip("/") if coordinator else None
+        self.coordinator = coordinator.rstrip("/")
         self.oversubscribe = oversubscribe
         self.lease_timeout = float(lease_timeout)
         self.max_attempts = max_attempts
         self.poll_interval = float(poll_interval)
         self.timeout = float(timeout)
-        self.start_method = start_method
         self.threads_per_shard = threads_per_shard
-        self.last_stats: dict = {}
 
     @property
     def parallelism(self) -> int:
         return self.workers * self.threads_per_shard
-
-    def _context(self) -> mp.context.BaseContext:
-        method = self.start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        return mp.get_context(method)
 
     def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
         engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
@@ -813,7 +656,6 @@ class RemoteExecutor(SweepExecutor):
         num_scenarios = plan.num_scenarios
         tasks = min(num_scenarios, self.workers * self.oversubscribe)
         if tasks <= 1:
-            self.last_stats = {"workers_reused": 0, "payload_bytes_shared": 0}
             return engine._run_chunk_pipeline(
                 compiled,
                 plan.scenario_source,
@@ -822,46 +664,20 @@ class RemoteExecutor(SweepExecutor):
                 sinks,
                 workers=self.threads_per_shard,
             )
-        shared: SharedGridPayload | None = None
-        if self.coordinator is not None:
-            # Cross-host fleets cannot map this host's memory: ship the
-            # plain pickle payload.
-            payload = pickle_sweep_payload(plan, "remote", threads=self.threads_per_shard)
-        else:
-            # Localhost workers attach the shared segment by name.
-            shared = SharedGridPayload.create(plan, "remote", threads=self.threads_per_shard)
-            payload = pickle.dumps(shared.descriptor, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            for sink in sinks:
-                sink.bind(compiled, num_scenarios)
-            reused = False
-            if not engine._use_cg(compiled):
-                _, reused = engine._factor(compiled)
-
-            ranges = shard_ranges(num_scenarios, tasks)
-            workers_reused = 0
-            if self.coordinator is not None:
-                results = self._run_sweep(self.coordinator, payload, ranges)
-            else:
-                results, workers_reused = self._run_embedded(payload, ranges)
-        finally:
-            if shared is not None:
-                shared.close()
-        self.last_stats = {
-            "workers_reused": workers_reused,
-            "payload_bytes_shared": shared.nbytes if shared is not None else 0,
-        }
+        payload = pickle_sweep_payload(plan, "remote", threads=self.threads_per_shard)
+        for sink in sinks:
+            sink.bind(compiled, num_scenarios)
+        reused = False
+        if not engine._use_cg(compiled):
+            _, reused = engine._factor(compiled)
+        ranges = shard_ranges(num_scenarios, tasks)
+        results = self._run_sweep(payload, ranges)
         outcomes = [results[task] for task in range(len(ranges))]
         return fold_shard_outcomes(plan, outcomes, reused)
 
-    def _run_sweep(
-        self,
-        coordinator: str,
-        payload: bytes,
-        ranges: list[tuple[int, int]],
-        ensure_workers: Callable[[], None] | None = None,
-    ) -> dict[int, tuple]:
+    def _run_sweep(self, payload: bytes, ranges: list[tuple[int, int]]) -> dict[int, tuple]:
         """Submit one sweep and poll its outcome to completion."""
+        coordinator = self.coordinator
         request = pickle.dumps(
             {
                 "payload": payload,
@@ -905,22 +721,10 @@ class RemoteExecutor(SweepExecutor):
                     f"remote sweep timed out after {self.timeout}s "
                     f"({outcome['completed']}/{outcome['total']} shards done)"
                 )
-            if ensure_workers is not None:
-                ensure_workers()
             time.sleep(self.poll_interval)
 
-    def _run_embedded(
-        self, payload: bytes, ranges: list[tuple[int, int]]
-    ) -> tuple[dict[int, tuple], int]:
-        """Run one sweep on the warm localhost fleet; return (results, reused)."""
-        fleet = _warm_fleet(self.start_method)
-        reused = fleet.ensure(min(self.workers, len(ranges)))
-        results = self._run_sweep(fleet.url, payload, ranges, ensure_workers=fleet.repair)
-        return results, reused
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        target = self.coordinator or "embedded"
-        return f"RemoteExecutor(workers={self.workers}, coordinator={target!r})"
+        return f"RemoteExecutor(workers={self.workers}, coordinator={self.coordinator!r})"
 
 
 # ----------------------------------------------------------------------

@@ -22,22 +22,19 @@ Exact sinks (:class:`NodeHistogramSink`, :class:`ExceedanceCountSink`,
 :class:`JointExceedanceSink`, :class:`TopKScenarioSink`) are
 bitwise-independent of the chunk size: they produce the identical result
 whether the sweep arrives in one dense block or one scenario at a time.
-Approximate sinks trade exactness for O(1) state (:class:`P2QuantileSink`)
-or a fixed-size sample (:class:`ReservoirQuantileSink`, which is exact
-while the stream still fits in its reservoir and deterministic for a given
-seed regardless of chunking).
+Quantiles come from one sink, :class:`QuantileSketchSink`: a log-bucketed
+sketch within a documented relative error whose integer state is just as
+independent of chunking and order.
 
-Most sinks additionally implement the :class:`MergeableSink` capability —
+Every sink here also implements the :class:`MergeableSink` capability —
 :meth:`snapshot` freezes the state accumulated over a contiguous scenario
 shard into a picklable :class:`SinkSnapshot`, and :meth:`merge` folds such
-a snapshot into another instance of the same sink.  That is what lets the
-process-sharded executor (:mod:`repro.analysis.executors`) split a sweep's
+a snapshot into another instance of the same sink.  That is what lets a
+process-sharded sweep (:mod:`repro.analysis.executors`) split its
 scenario range across worker processes and combine the per-shard sink
-states afterwards: the exact sinks merge exactly (counter addition, top-k
-union), the reservoir merges by weighted resampling, and
-:class:`P2QuantileSink` is deliberately *not* mergeable — its marker state
-is order-dependent — so process-sharded sweeps reject it up front and
-steer users to the reservoir sink instead.
+states afterwards, bitwise-identical to the sequential fold (counter
+addition, top-k union).  A custom sink without the capability still runs
+on one shard, where the fold stays in scenario order.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .irdrop import IRDropResult
 
 _SCENARIO_STATISTICS = ("worst", "mean")
-"""Per-scenario scalar statistics the scalar-stream sinks can track."""
+"""Per-scenario scalar statistics :class:`QuantileSketchSink` can track."""
 
 
 @runtime_checkable
@@ -114,10 +111,8 @@ class MergeableSink(Protocol):
     is reconstructed by binding one sink to the full sweep and merging the
     shard snapshots **in ascending shard order**: each :meth:`merge` call
     appends ``snapshot.num_scenarios`` scenarios at the sink's current
-    offset, exactly like consuming the shard's chunks directly.  Exact
-    sinks guarantee the merged result is bitwise-identical to the
-    sequential sweep; the reservoir sink merges by weighted resampling
-    (statistically equivalent, not bitwise).
+    offset, exactly like consuming the shard's chunks directly.  The
+    merged result is bitwise-identical to the sequential sweep.
     """
 
     def snapshot(self) -> SinkSnapshot:
@@ -252,29 +247,6 @@ class IRDropSink:
         raise NotImplementedError
 
 
-def _scenario_scalars(drops: np.ndarray, statistic: str) -> np.ndarray:
-    """Per-scenario scalar over contiguous ``(c, num_nodes)`` drop rows."""
-    if statistic == "worst":
-        return drops.max(axis=1)
-    return drops.mean(axis=1)
-
-
-class _ScalarStreamSink(IRDropSink):
-    """Base of sinks that reduce each scenario to one scalar first."""
-
-    def __init__(self, statistic: str = "worst") -> None:
-        super().__init__()
-        if statistic not in _SCENARIO_STATISTICS:
-            raise ValueError(f"statistic must be one of {_SCENARIO_STATISTICS}, got {statistic!r}")
-        self.statistic = statistic
-
-    def _consume_drops(self, drops: np.ndarray, scenario_offset: int) -> None:
-        self._consume_scalars(_scenario_scalars(drops, self.statistic), scenario_offset)
-
-    def _consume_scalars(self, scalars: np.ndarray, scenario_offset: int) -> None:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
 class QuantileEstimate:
     """Streamed quantile estimates of a per-scenario scalar distribution.
@@ -284,15 +256,12 @@ class QuantileEstimate:
         quantiles: The requested quantile levels, ascending.
         values: Estimated value at each level, aligned with ``quantiles``.
         num_scenarios: Number of scenarios observed.
-        exact: True when the estimates are exact empirical quantiles (the
-            whole stream was retained), False for streaming approximations.
     """
 
     statistic: str
     quantiles: tuple[float, ...]
     values: np.ndarray
     num_scenarios: int
-    exact: bool
 
     def value(self, quantile: float) -> float:
         """Value estimated for one of the requested quantile levels."""
@@ -302,343 +271,7 @@ class QuantileEstimate:
             raise KeyError(f"quantile {quantile} was not tracked: {self.quantiles}") from exc
 
 
-_P2_BLOCK = 64
-"""Internal batch width of the vectorised P² update.
-
-Incoming per-scenario scalars are buffered to blocks of this fixed width
-before the marker state is updated, so the estimate depends only on the
-scenario order — never on how the engine chunked the sweep."""
-
-
-class _P2MarkerBank:
-    """Vectorised multi-estimator P² state (Jain & Chlamtac, CACM 1985).
-
-    One row of five markers per tracked quantile level.  Instead of the
-    textbook one-observation-at-a-time update, whole blocks of
-    observations are folded at once: the marker *positions* advance by the
-    block's per-cell counts (a single vectorised comparison), and the
-    marker *heights* are then re-adjusted with the piecewise-parabolic
-    formula — generalised to integer steps of any size, clamped to keep
-    positions strictly monotone, falling back to a unit linear step when
-    the parabolic prediction leaves the bracketing interval.  All levels
-    update simultaneously as NumPy array ops, which is what makes quantile
-    tracking cheap relative to the chunk solves it rides along with.
-    """
-
-    def __init__(self, quantiles: Sequence[float]) -> None:
-        p = np.asarray(quantiles, dtype=float)
-        m = p.size
-        self.count = 0
-        self.heights = np.zeros((m, 5))
-        self.positions = np.tile(np.arange(1.0, 6.0), (m, 1))
-        self.increments = np.column_stack(
-            (np.zeros(m), p / 2.0, p, (1.0 + p) / 2.0, np.ones(m))
-        )
-        self.desired = np.column_stack(
-            (np.ones(m), 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, np.full(m, 5.0))
-        )
-        self._quantiles = p
-        self._seed: list[float] = []
-
-    def clone(self) -> "_P2MarkerBank":
-        """Independent copy (used to estimate without flushing buffers)."""
-        other = object.__new__(_P2MarkerBank)
-        other.count = self.count
-        other.heights = self.heights.copy()
-        other.positions = self.positions.copy()
-        other.increments = self.increments
-        other.desired = self.desired.copy()
-        other._quantiles = self._quantiles
-        other._seed = list(self._seed)
-        return other
-
-    def insert(self, values: np.ndarray) -> None:
-        """Fold a block of observations (in scenario order) into the markers."""
-        values = np.asarray(values, dtype=float)
-        self.count += values.size
-        if len(self._seed) < 5:
-            take = min(5 - len(self._seed), values.size)
-            self._seed.extend(float(v) for v in values[:take])
-            values = values[take:]
-            if len(self._seed) == 5:
-                self.heights[:] = np.sort(np.array(self._seed))
-        if values.size == 0 or len(self._seed) < 5:
-            return
-        heights, positions = self.heights, self.positions
-        heights[:, 0] = np.minimum(heights[:, 0], values.min())
-        heights[:, 4] = np.maximum(heights[:, 4], values.max())
-        below = (values[None, None, :] < heights[:, 1:4, None]).sum(axis=2)
-        positions[:, 1:4] += below
-        positions[:, 4] += values.size
-        self.desired += self.increments * values.size
-        # Positions stay integer-valued, so every pass moves each marker at
-        # least one whole position; any residual deficit simply carries
-        # into the next block's adjustment.
-        for _ in range(2 * values.size):
-            if not self._adjust():
-                break
-
-    def _adjust(self) -> bool:
-        """One vectorised height/position adjustment pass; True if moved."""
-        heights, positions = self.heights, self.positions
-        moved = False
-        for i in (1, 2, 3):
-            d = self.desired[:, i] - positions[:, i]
-            gap_up = positions[:, i + 1] - positions[:, i]
-            gap_down = positions[:, i] - positions[:, i - 1]
-            up = (d >= 1.0) & (gap_up > 1.0)
-            down = (d <= -1.0) & (gap_down > 1.0)
-            active = up | down
-            if not active.any():
-                continue
-            moved = True
-            step = np.where(
-                up,
-                np.minimum(np.floor(d), gap_up - 1.0),
-                np.maximum(np.ceil(d), 1.0 - gap_down),
-            )
-            qm, qi, qp = heights[:, i - 1], heights[:, i], heights[:, i + 1]
-            nm, ni, npl = positions[:, i - 1], positions[:, i], positions[:, i + 1]
-            parabolic = qi + step / (npl - nm) * (
-                (ni - nm + step) * (qp - qi) / (npl - ni)
-                + (npl - ni - step) * (qi - qm) / (ni - nm)
-            )
-            valid = (qm < parabolic) & (parabolic < qp)
-            unit = np.where(step > 0.0, 1.0, -1.0)
-            linear = qi + unit * (np.where(step > 0.0, qp, qm) - qi) / (
-                np.where(step > 0.0, npl, nm) - ni
-            )
-            heights[:, i] = np.where(active, np.where(valid, parabolic, linear), qi)
-            positions[:, i] = ni + np.where(active, np.where(valid, step, unit), 0.0)
-        return moved
-
-    def estimate(self) -> np.ndarray:
-        """Current estimate per level (exact while ≤ 5 observations)."""
-        if self.count == 0:
-            return np.full(self._quantiles.size, np.nan)
-        if self.count <= 5:
-            return np.quantile(np.array(self._seed), self._quantiles)
-        return self.heights[:, 2].copy()
-
-
-def _validated_quantiles(quantiles: Sequence[float]) -> tuple[float, ...]:
-    levels = tuple(float(q) for q in quantiles)
-    if not levels:
-        raise ValueError("at least one quantile level is required")
-    if any(not 0.0 <= q <= 1.0 for q in levels):
-        raise ValueError(f"quantile levels must be in [0, 1], got {levels}")
-    if list(levels) != sorted(set(levels)):
-        raise ValueError(f"quantile levels must be strictly ascending, got {levels}")
-    return levels
-
-
-class P2QuantileSink(_ScalarStreamSink):
-    """O(1)-memory streaming quantiles of a per-scenario scalar (P²).
-
-    A vectorised bank of five-marker P² estimators (one row per requested
-    level) tracks the quantiles of the per-scenario worst (or mean) IR
-    drop without retaining the stream.  Incoming scalars are buffered to
-    fixed-width internal blocks (:data:`_P2_BLOCK`) and folded with a
-    NumPy multi-estimator batch step, so the estimate depends only on the
-    scenario order — never on the engine's chunking — and the fold costs
-    a few vectorised array ops per block instead of a Python marker update
-    per scenario.  The estimate is approximate; use
-    :class:`ReservoirQuantileSink` when a bounded sample (exact for small
-    sweeps) is preferred.
-
-    The marker state is order-dependent, so this sink is **not**
-    mergeable across process shards — process-sharded sweeps reject it
-    and steer to the reservoir sink.
-
-    Args:
-        quantiles: Quantile levels in [0, 1], strictly ascending.
-        statistic: Per-scenario scalar to track (``"worst"`` or ``"mean"``).
-    """
-
-    def __init__(self, quantiles: Sequence[float], statistic: str = "worst") -> None:
-        super().__init__(statistic)
-        self.quantiles = _validated_quantiles(quantiles)
-        self._bank = _P2MarkerBank(self.quantiles)
-        self._pending = np.empty(_P2_BLOCK, dtype=float)
-        self._pending_len = 0
-
-    def _consume_scalars(self, scalars: np.ndarray, scenario_offset: int) -> None:
-        scalars = np.asarray(scalars, dtype=float)
-        position = 0
-        while position < scalars.size:
-            take = min(_P2_BLOCK - self._pending_len, scalars.size - position)
-            self._pending[self._pending_len : self._pending_len + take] = scalars[
-                position : position + take
-            ]
-            self._pending_len += take
-            position += take
-            if self._pending_len == _P2_BLOCK:
-                self._bank.insert(self._pending)
-                self._pending_len = 0
-
-    def result(self) -> QuantileEstimate:
-        """Current quantile estimates (exact while ≤ 5 scenarios seen).
-
-        Non-destructive: the buffered tail is folded into a clone of the
-        marker bank, so reading an estimate mid-sweep does not disturb the
-        fixed block boundaries.
-        """
-        self._require_bound()
-        bank = self._bank
-        if self._pending_len:
-            bank = bank.clone()
-            bank.insert(self._pending[: self._pending_len])
-        return QuantileEstimate(
-            statistic=self.statistic,
-            quantiles=self.quantiles,
-            values=bank.estimate(),
-            num_scenarios=self._consumed,
-            exact=self._consumed <= 5,
-        )
-
-
-class ReservoirQuantileSink(_ScalarStreamSink):
-    """Bounded-memory quantiles from a uniform reservoir sample.
-
-    Maintains an Algorithm-R reservoir of per-scenario scalars: exact
-    empirical quantiles while the sweep fits in the reservoir, an unbiased
-    uniform sample beyond that.  Replacement slots are drawn vectorised
-    per chunk from the same uniform stream a per-value loop would consume,
-    so the sample — and therefore the result — depends only on the seed
-    and the scenario order, not on the chunking.
-
-    The sink is mergeable: two reservoirs over disjoint scenario shards
-    combine by weighted resampling (each shard's sample is drawn from in
-    proportion to the number of scenarios it represents).  A merged
-    reservoir is a statistically equivalent uniform sample of the union,
-    exact while the combined stream still fits in the capacity — this is
-    the quantile sink to use with the process-sharded executor, where the
-    order-dependent :class:`P2QuantileSink` is rejected.
-
-    Args:
-        capacity: Reservoir size (scenarios retained).
-        quantiles: Quantile levels in [0, 1], strictly ascending.
-        statistic: Per-scenario scalar to track (``"worst"`` or ``"mean"``).
-        seed: Seed of the replacement RNG.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        quantiles: Sequence[float],
-        statistic: str = "worst",
-        seed: int = 0,
-    ) -> None:
-        super().__init__(statistic)
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
-        self.quantiles = _validated_quantiles(quantiles)
-        self._rng = np.random.default_rng(seed)
-        self._sample = np.empty(capacity, dtype=float)
-        self._filled = 0
-
-    def _consume_scalars(self, scalars: np.ndarray, scenario_offset: int) -> None:
-        scalars = np.asarray(scalars, dtype=float)
-        taken = 0
-        if self._filled < self.capacity:
-            taken = min(self.capacity - self._filled, scalars.size)
-            self._sample[self._filled : self._filled + taken] = scalars[:taken]
-            self._filled += taken
-        rest = scalars[taken:]
-        if rest.size == 0:
-            return
-        # Algorithm R, vectorised: value j of the stream (0-based global
-        # index i_j) replaces a uniform slot in [0, i_j + 1) when that slot
-        # lands inside the reservoir.  Duplicate slots within one chunk
-        # resolve last-wins via fancy assignment — identical to the
-        # sequential loop.
-        stream_length = scenario_offset + taken + np.arange(rest.size) + 1.0
-        slots = np.floor(self._rng.random(rest.size) * stream_length).astype(np.int64)
-        accept = slots < self.capacity
-        self._sample[slots[accept]] = rest[accept]
-
-    def snapshot(self) -> SinkSnapshot:
-        """Freeze the reservoir (and the stream size it represents)."""
-        self._require_bound()
-        return SinkSnapshot(
-            sink_type=type(self).__name__,
-            num_scenarios=self._consumed,
-            state={
-                "capacity": self.capacity,
-                "quantiles": self.quantiles,
-                "statistic": self.statistic,
-                "sample": self._sample[: self._filled].copy(),
-            },
-        )
-
-    def merge(self, snapshot: SinkSnapshot) -> None:
-        """Merge a shard's reservoir by weighted resampling.
-
-        Both samples are drawn from in proportion to the number of
-        scenarios each represents, yielding a uniform sample of the
-        combined stream.  While everything still fits in the capacity the
-        merge is an exact concatenation.
-        """
-        self._begin_merge(snapshot)
-        state = snapshot.state
-        if (
-            state["capacity"] != self.capacity
-            or state["quantiles"] != self.quantiles
-            or state["statistic"] != self.statistic
-        ):
-            raise ValueError(
-                "cannot merge reservoirs with different capacity / quantiles / statistic"
-            )
-        other = np.asarray(state["sample"], dtype=float)
-        own_weight, other_weight = self._consumed, snapshot.num_scenarios
-        if other.size:
-            own_complete = self._filled == own_weight
-            other_complete = other.size == other_weight
-            if self._filled == 0:
-                self._sample[: other.size] = other
-                self._filled = other.size
-            elif own_complete and other_complete and self._filled + other.size <= self.capacity:
-                self._sample[self._filled : self._filled + other.size] = other
-                self._filled += other.size
-            else:
-                own = self._sample[: self._filled]
-                # A uniform m-subset of the combined stream contains a
-                # Hypergeometric(own_weight, other_weight, m) number of the
-                # own side's items; drawing that count and filling each
-                # side's share from its (uniform, shuffled) sample keeps
-                # every stream item equally likely to survive the merge —
-                # exactly, not just in expectation.
-                merged_size = min(self.capacity, own.size + other.size)
-                from_own = int(
-                    self._rng.hypergeometric(own_weight, other_weight, merged_size)
-                )
-                from_own = min(max(from_own, merged_size - other.size), own.size)
-                own = self._rng.permutation(own)[:from_own]
-                other = self._rng.permutation(other)[: merged_size - from_own]
-                self._sample[:merged_size] = np.concatenate((own, other))
-                self._filled = merged_size
-        self._finish_merge(snapshot)
-
-    def result(self) -> QuantileEstimate:
-        """Empirical quantiles of the reservoir sample."""
-        self._require_bound()
-        sample = self._sample[: self._filled]
-        values = (
-            np.quantile(sample, self.quantiles)
-            if sample.size
-            else np.full(len(self.quantiles), np.nan)
-        )
-        return QuantileEstimate(
-            statistic=self.statistic,
-            quantiles=self.quantiles,
-            values=np.asarray(values, dtype=float),
-            num_scenarios=self._consumed,
-            exact=self._consumed <= self.capacity,
-        )
-
-
-class QuantileSketchSink(_ScalarStreamSink):
+class QuantileSketchSink(IRDropSink):
     """Deterministic log-bucketed quantile sketch of a per-scenario scalar.
 
     A DDSketch-style estimator: every scalar ``v >= min_value`` lands in
@@ -653,15 +286,12 @@ class QuantileSketchSink(_ScalarStreamSink):
     landing there carry no relative-error guarantee (on IR-drop sweeps the
     tracked statistics sit far above any sensible ``min_value``).
 
-    Unlike the reservoir sink, the state is a pure integer counter array:
-    it is invariant to the *order* scalars arrive in, and the merge is
-    aligned counter addition.  A sweep split into contiguous shards —
-    process-sharded, remote-sharded, any chunk size — therefore merges to
-    the **bitwise-identical** sketch the sequential sweep builds, at every
-    shard count.  That determinism is what makes this the recommended
-    quantile sink under the process and remote executors, where
-    :class:`P2QuantileSink` is rejected (order-dependent markers) and
-    :class:`ReservoirQuantileSink` merges only statistically.
+    The state is a pure integer counter array: it is invariant to the
+    *order* scalars arrive in, and the merge is aligned counter addition.
+    A sweep split into contiguous shards — process-sharded,
+    remote-sharded, any chunk size — therefore merges to the
+    **bitwise-identical** sketch the sequential sweep builds, at every
+    shard count.
 
     Memory is one ``int64`` per occupied bucket:
     ``O(log(max / min_value) / relative_error)``.  The bucket span is
@@ -686,14 +316,24 @@ class QuantileSketchSink(_ScalarStreamSink):
         min_value: float = 1e-9,
         max_buckets: int = 8192,
     ) -> None:
-        super().__init__(statistic)
-        self.quantiles = _validated_quantiles(quantiles)
+        super().__init__()
+        if statistic not in _SCENARIO_STATISTICS:
+            raise ValueError(f"statistic must be one of {_SCENARIO_STATISTICS}, got {statistic!r}")
+        levels = tuple(float(q) for q in quantiles)
+        if not levels:
+            raise ValueError("at least one quantile level is required")
+        if any(not 0.0 <= q <= 1.0 for q in levels):
+            raise ValueError(f"quantile levels must be in [0, 1], got {levels}")
+        if list(levels) != sorted(set(levels)):
+            raise ValueError(f"quantile levels must be strictly ascending, got {levels}")
         if not 0.0 < relative_error < 1.0:
             raise ValueError(f"relative_error must be in (0, 1), got {relative_error}")
         if min_value <= 0.0:
             raise ValueError(f"min_value must be positive, got {min_value}")
         if max_buckets < 1:
             raise ValueError("max_buckets must be at least 1")
+        self.statistic = statistic
+        self.quantiles = levels
         self.relative_error = float(relative_error)
         self.min_value = float(min_value)
         self.max_buckets = int(max_buckets)
@@ -734,8 +374,8 @@ class QuantileSketchSink(_ScalarStreamSink):
         self._counts = grown
         self._index_offset = lo
 
-    def _consume_scalars(self, scalars: np.ndarray, scenario_offset: int) -> None:
-        scalars = np.asarray(scalars, dtype=float)
+    def _consume_drops(self, drops: np.ndarray, scenario_offset: int) -> None:
+        scalars = drops.max(axis=1) if self.statistic == "worst" else drops.mean(axis=1)
         if not np.isfinite(scalars).all():
             raise ValueError("quantile sketch requires finite per-scenario scalars")
         low = scalars < self.min_value
@@ -812,7 +452,6 @@ class QuantileSketchSink(_ScalarStreamSink):
             quantiles=self.quantiles,
             values=np.asarray(values, dtype=float),
             num_scenarios=self._consumed,
-            exact=False,
         )
 
 

@@ -241,7 +241,7 @@ class VectorlessAnalyzer:
                 uses the engine default.
             executor: Sweep-execution strategy (see
                 :meth:`BatchedAnalysisEngine.analyze_batch`); the budget
-                sampler is picklable, so ``"processes"`` shards the sweep
+                sampler is picklable, so ``"hybrid"`` shards the sweep
                 across worker processes with mergeable sinks.
 
         Returns:

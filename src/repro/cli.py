@@ -36,7 +36,6 @@ from .analysis import (
     ExceedanceCountSink,
     JointExceedanceSink,
     NodeHistogramSink,
-    P2QuantileSink,
     QuantileSketchSink,
     RemoteExecutor,
     TopKScenarioSink,
@@ -157,15 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default=None,
         help=(
-            "sweep-execution strategy: serial, threads (chunk solves on a "
-            "thread pool, one ordered fold), processes (scenario range "
-            "sharded across worker processes, mergeable sinks), hybrid "
-            "(process shards each running the threaded pipeline, "
-            "zero-copy shared-memory payload, cost-based rebalancing) or "
-            "remote (range sharded across fleet workers behind a "
-            "coordinator; embedded localhost fleet unless --coordinator "
-            "is given). Under processes/hybrid/remote, quantiles switch "
-            "from P2 to a deterministic mergeable sketch"
+            "sweep-execution strategy: serial, hybrid (process shards "
+            "each running the threaded chunk pipeline, zero-copy "
+            "shared-memory payload, cost-based rebalancing) or remote "
+            "(range sharded across fleet workers behind a standing "
+            "coordinator, see --coordinator). Without it the sweep runs "
+            "in-process on --workers solver threads"
         ),
     )
     sweep.add_argument(
@@ -188,20 +184,18 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "base URL of a standing sweep coordinator (see `python -m "
             "repro.analysis.remote coordinator`); implies --executor "
-            "remote. Without it the remote executor serves an embedded "
-            "localhost coordinator and spawns its own workers. Unset "
-            "reads the REPRO_REMOTE_COORDINATOR environment"
+            "remote. Unset reads the REPRO_REMOTE_COORDINATOR "
+            "environment; the remote executor needs one of the two"
         ),
     )
     sweep.add_argument(
         "--workers", type=int, default=None,
         help=(
-            "parallelism: solver threads (threads executor) or shard "
-            "processes (processes executor). Without --executor the "
-            "default is 1 (or the REPRO_TEST_WORKERS / REPRO_TEST_EXECUTOR "
-            "environment); with an explicit --executor threads/processes "
-            "it defaults to the host CPU count. Exact results are "
-            "identical for any value"
+            "parallelism: solver threads without --executor (default 1, "
+            "or the REPRO_TEST_WORKERS / REPRO_TEST_EXECUTOR "
+            "environment), or the worker hint of --executor remote "
+            "(default: the host CPU count). Exact results are identical "
+            "for any value"
         ),
     )
     sweep.add_argument(
@@ -511,10 +505,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     try:
         quantiles = [float(level) for level in args.quantiles.split(",") if level.strip()]
-        P2QuantileSink(quantiles)  # validates levels (range, ascending, non-empty)
+        # Validates the levels (range, ascending, non-empty).
+        quantile_sink = QuantileSketchSink(quantiles)
     except ValueError as exc:
         print(f"error: invalid --quantiles {args.quantiles!r}: {exc}", file=sys.stderr)
         return 2
+
+    executor = args.executor
+    if args.coordinator is not None or args.executor == "remote":
+        try:
+            executor = RemoteExecutor(workers=args.workers, coordinator=args.coordinator)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    elif args.executor == "hybrid":
+        # Built here (instead of resolved by name inside the engine) so the
+        # per-sweep observability counters in `last_stats` can be read back
+        # into the summary and the JSON record below.
+        executor = HybridExecutor(
+            shard_workers=args.shard_workers, threads_per_shard=args.threads_per_shard
+        )
 
     bench = SyntheticIBMSuite().load(args.benchmark)
     grid = bench.build_uniform_grid(args.width)
@@ -526,23 +536,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     load_matrix, pad_matrix = mega_sweep_matrices(
         grid, bench.floorplan, args.gamma, args.num_loads, args.num_pads, seed=args.seed
     )
-    executor = args.executor
-    if args.coordinator is not None or args.executor == "remote":
-        executor = RemoteExecutor(workers=args.workers, coordinator=args.coordinator)
-    elif args.executor == "hybrid":
-        # Built here (instead of resolved by name inside the engine) so the
-        # per-sweep observability counters in `last_stats` can be read back
-        # into the summary and the JSON record below.
-        executor = HybridExecutor(
-            shard_workers=args.shard_workers, threads_per_shard=args.threads_per_shard
-        )
-    if args.executor in ("processes", "hybrid", "remote") or args.coordinator is not None:
-        # P2 marker state is order-dependent and cannot merge across
-        # shards; the log-bucket sketch merges by counter addition and is
-        # bitwise identical at every shard count (relative error <= 1%).
-        quantile_sink = QuantileSketchSink(quantiles)
-    else:
-        quantile_sink = P2QuantileSink(quantiles)
     histogram_sink = NodeHistogramSink.uniform(
         0.0, max(2.0 * nominal.worst_ir_drop, 1e-6), args.bins
     )
@@ -558,9 +551,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers if isinstance(executor, (str, type(None))) else None,
         executor=executor,
     )
-    # Sharded executor instances expose the counters of the sweep they
-    # just ran (shards, threads_per_shard, payload_bytes_shared,
-    # rebalances, workers_reused); name-resolved executors expose none.
+    # A hybrid executor instance exposes the counters of the sweep it just
+    # ran (shards, threads_per_shard, payload_bytes_shared, rebalances,
+    # tasks); other executors expose none.
     executor_stats = dict(getattr(executor, "last_stats", None) or {})
 
     estimate = quantile_sink.result()

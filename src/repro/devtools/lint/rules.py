@@ -237,8 +237,8 @@ _ANALYZE_ENTRY_POINTS = {
     "analyze_mega_sweep",
     "analyze_statistical",
 }
-_SHARDED_EXECUTOR_NAMES = {"processes", "hybrid", "remote"}
-_SHARDED_EXECUTOR_CLASSES = {"ProcessShardedExecutor", "HybridExecutor", "RemoteExecutor"}
+_SHARDED_EXECUTOR_NAMES = {"hybrid", "remote"}
+_SHARDED_EXECUTOR_CLASSES = {"HybridExecutor", "RemoteExecutor"}
 #: Positional slot of the scenario source per entry point (after self).
 _SOURCE_POSITIONS = {"analyze_scenario_stream": 1}
 
@@ -247,7 +247,7 @@ _SOURCE_POSITIONS = {"analyze_scenario_stream": 1}
 class PicklabilityRule(Rule):
     """Closures must not flow into sweeps that ship shards to processes.
 
-    Protects: the process-sharded / remote payload contract — the
+    Protects: the hybrid / remote payload contract — the
     scenario source, the compiled grid and every sink are pickled once
     and rebuilt inside worker processes, so lambdas, nested functions and
     locally-defined classes cannot ride along.
@@ -256,9 +256,9 @@ class PicklabilityRule(Rule):
     ``source`` / ``scenario_source`` / ``sinks`` of an ``analyze_*``
     entry point when either
 
-    * the call names a sharded executor (``executor="processes"`` /
-      ``"remote"``, a ``ProcessShardedExecutor`` / ``RemoteExecutor``
-      instance, or ``make_executor`` with one of those names), or
+    * the call names a sharded executor (``executor="hybrid"`` /
+      ``"remote"``, a ``HybridExecutor`` / ``RemoteExecutor`` instance,
+      or ``make_executor`` with one of those names), or
     * the file is library code (non-test) — production sources must be
       module-level picklable classes such as ``MatrixScenarioSource``,
       whatever executor today's caller picks.

@@ -25,9 +25,9 @@ KNOWN_ENV_VARS: dict[str, str] = {
         "tier-1 once with 2 to exercise the parallel chunk pipeline."
     ),
     "REPRO_TEST_EXECUTOR": (
-        "Default sweep executor (serial|threads|processes|hybrid|remote) "
-        "for every analyze_* call that passes neither executor= nor "
-        "workers=."
+        "Default sweep executor (serial|hybrid|remote) for every "
+        "analyze_* call that passes neither executor= nor workers=; "
+        "remote also needs REPRO_REMOTE_COORDINATOR."
     ),
     "REPRO_HYBRID_SHARD_WORKERS": (
         "Process-shard count of HybridExecutor when shard_workers= is "
@@ -44,11 +44,11 @@ KNOWN_ENV_VARS: dict[str, str] = {
     # --- remote fleet -------------------------------------------------
     "REPRO_REMOTE_COORDINATOR": (
         "Base URL of a standing sweep coordinator; RemoteExecutor submits "
-        "there instead of hosting an embedded localhost fleet."
+        "there when coordinator= is not passed."
     ),
     "REPRO_REMOTE_WORKERS": (
-        "Worker hint of RemoteExecutor: embedded worker processes spawned "
-        "and the basis of the workers x oversubscribe shard count."
+        "Worker hint of RemoteExecutor: the basis of the workers x "
+        "oversubscribe shard count."
     ),
     # --- benchmark harness --------------------------------------------
     "REPRO_BENCH_SCALE": (

@@ -2,9 +2,10 @@
 
 ``workers >= 2`` solves RHS chunks on a thread pool but the consumer folds
 finished chunks into the reductions and sinks strictly in ascending
-scenario order — so every reduction, every exact sink, every approximate
-sink state and all solver metadata must be **bitwise-identical** to the
-sequential path, for every combination of ``workers`` and ``chunk_size``.
+scenario order — so every reduction, every sink state (an order-dependent,
+non-mergeable one included) and all solver metadata must be
+**bitwise-identical** to the sequential path, for every combination of
+``workers`` and ``chunk_size``.
 """
 
 import numpy as np
@@ -13,9 +14,9 @@ import pytest
 from repro.analysis import (
     BatchedAnalysisEngine,
     ExceedanceCountSink,
+    MergeableSink,
     NodeHistogramSink,
-    P2QuantileSink,
-    ReservoirQuantileSink,
+    QuantileSketchSink,
     TopKScenarioSink,
     VectorlessAnalyzer,
     uniform_budget,
@@ -29,6 +30,7 @@ from repro.grid import (
     perturbed_load_matrix,
     perturbed_pad_voltage_matrix,
 )
+from tests.analysis.order_sink import OrderRecordingSink
 
 WORKER_COUNTS = [2, 3]
 CHUNK_SIZES = [1, 7, 37, 100]
@@ -57,10 +59,10 @@ def nominal_worst(ibmpg1_grid):
 
 
 def build_sinks(threshold: float) -> dict:
-    """Fresh instances of every sink family, exact and approximate."""
+    """Fresh instances of every sink family plus an order-dependent one."""
     return {
-        "p2": P2QuantileSink((0.5, 0.9)),
-        "reservoir": ReservoirQuantileSink(16, (0.5, 0.9), seed=3),
+        "order": OrderRecordingSink(),
+        "sketch": QuantileSketchSink((0.5, 0.9)),
         "histogram": NodeHistogramSink.uniform(0.0, 2.0 * threshold + 1e-6, 8),
         "exceedance": ExceedanceCountSink(threshold),
         "topk": TopKScenarioSink(4),
@@ -69,11 +71,10 @@ def build_sinks(threshold: float) -> dict:
 
 def assert_sinks_identical(sequential: dict, parallel: dict) -> None:
     """Every sink result must be bitwise-equal between the two sweeps."""
+    assert sequential["order"].offsets == parallel["order"].offsets
+    assert np.array_equal(sequential["order"].result(), parallel["order"].result())
     assert np.array_equal(
-        sequential["p2"].result().values, parallel["p2"].result().values
-    )
-    assert np.array_equal(
-        sequential["reservoir"].result().values, parallel["reservoir"].result().values
+        sequential["sketch"].result().values, parallel["sketch"].result().values
     )
     seq_hist, par_hist = sequential["histogram"].result(), parallel["histogram"].result()
     assert np.array_equal(seq_hist.counts, par_hist.counts)
@@ -189,6 +190,20 @@ class TestParallelEquivalence:
         )
         assert_reductions_identical(sequential.sweep, parallel.sweep)
         assert sequential.worst_observed == parallel.worst_observed
+
+    def test_order_dependent_sink_folds_identically(self, ibmpg1_grid, load_sweep):
+        """The thread axis folds in scenario order, so a sink that cannot
+        merge still sees exactly the sequential chunk sequence."""
+        recorded = {}
+        for workers in (1, 3):
+            sink = OrderRecordingSink()
+            assert not isinstance(sink, MergeableSink)
+            BatchedAnalysisEngine().analyze_batch(
+                ibmpg1_grid, load_sweep, chunk_size=4, sinks=[sink], workers=workers
+            )
+            recorded[workers] = sink
+        assert recorded[3].offsets == recorded[1].offsets == list(range(0, 37, 4))
+        assert np.array_equal(recorded[3].result(), recorded[1].result())
 
     def test_more_workers_than_chunks(self, ibmpg1_grid, load_sweep):
         engine = BatchedAnalysisEngine()

@@ -3,18 +3,18 @@
 The core guarantee: a process-sharded sweep — scenario range split across
 worker processes, each with its own factorization and its own fold — is
 **bitwise-identical** to the sequential sweep for the streamed reductions
-and every exact mergeable sink, at every shard count (1, an even split,
-and a non-divisor).  The reservoir sink merges by weighted resampling and
-is validated statistically; the order-dependent P² sink is rejected up
-front with a pointer to the quantile sketch.  Also covered: executor
-resolution
-precedence (explicit executor > workers= > environment default), the
-lenient fallback of :data:`EXECUTOR_ENV`, the adaptive chunk-width
-heuristic, and top-k rematerialisation.
+and every mergeable sink, at every shard count (1, an even split, and a
+non-divisor).  Order-dependent sinks are rejected up front.  Also
+covered: executor resolution precedence (explicit executor > workers= >
+environment default), the lenient fallback of :data:`EXECUTOR_ENV`, the
+adaptive chunk-width heuristic, top-k rematerialisation and a shard
+worker killed mid-sweep.
 """
 
 import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,15 +27,11 @@ from repro.analysis import (
     HybridExecutor,
     JointExceedanceSink,
     MatrixScenarioSource,
-    MergeableSink,
     NodeHistogramSink,
-    P2QuantileSink,
-    ProcessShardedExecutor,
-    ReservoirQuantileSink,
+    QuantileSketchSink,
     SerialExecutor,
     SharedGridPayload,
     SweepPlan,
-    ThreadedExecutor,
     TopKScenarioSink,
     VectorlessAnalyzer,
     make_executor,
@@ -61,6 +57,7 @@ from repro.grid import (
     mega_sweep_matrices,
     perturbed_load_matrix,
 )
+from tests.analysis.order_sink import OrderRecordingSink
 
 SHARD_COUNTS = [1, 2, 3]
 """Degenerate single shard, even split, and a non-divisor of 37."""
@@ -90,7 +87,7 @@ def nominal_worst(ibmpg1_grid):
 def mergeable_sinks(threshold: float) -> dict:
     """Fresh instances of every mergeable sink family."""
     return {
-        "reservoir": ReservoirQuantileSink(16, (0.5, 0.9), seed=3),
+        "sketch": QuantileSketchSink((0.5, 0.9)),
         "histogram": NodeHistogramSink.uniform(0.0, 2.0 * threshold + 1e-6, 8),
         "exceedance": ExceedanceCountSink(threshold),
         "joint": JointExceedanceSink(threshold),
@@ -99,7 +96,10 @@ def mergeable_sinks(threshold: float) -> dict:
 
 
 def assert_exact_sinks_identical(sequential: dict, sharded: dict) -> None:
-    """Every exact mergeable sink must be bitwise-equal between sweeps."""
+    """Every mergeable sink must be bitwise-equal between sweeps."""
+    assert np.array_equal(
+        sequential["sketch"].result().values, sharded["sketch"].result().values
+    )
     seq_hist, shard_hist = sequential["histogram"].result(), sharded["histogram"].result()
     assert np.array_equal(seq_hist.counts, shard_hist.counts)
     assert np.array_equal(seq_hist.underflow, shard_hist.underflow)
@@ -124,8 +124,22 @@ def assert_reductions_identical(sequential, sharded) -> None:
     assert np.array_equal(sequential.worst_node_index, sharded.worst_node_index)
 
 
+class ExitingSource:
+    """Picklable scenario source that kills any shard worker calling it."""
+
+    def __init__(self, load_matrix: np.ndarray) -> None:
+        self.load_matrix = load_matrix
+        self.parent = os.getpid()
+
+    def __call__(self, begin: int, end: int):
+        if os.getpid() != self.parent:
+            os._exit(3)
+        return self.load_matrix[begin:end], None
+
+
 class TestProcessShardedEquivalence:
-    """Merge-equivalence suite: process shards == sequential, bitwise."""
+    """Merge-equivalence suite: process shards (``HybridExecutor(n, 1)``)
+    == sequential, bitwise."""
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_batch_bitwise_matches_sequential(
@@ -146,7 +160,7 @@ class TestProcessShardedEquivalence:
             load_sweep,
             chunk_size=7,
             sinks=tuple(shard_sinks.values()),
-            executor=ProcessShardedExecutor(shards=shards),
+            executor=HybridExecutor(shards, 1),
         )
         assert_reductions_identical(sequential, sharded)
         assert_exact_sinks_identical(seq_sinks, shard_sinks)
@@ -179,11 +193,11 @@ class TestProcessShardedEquivalence:
             pad_matrix,
             chunk_size=13,
             sinks=tuple(shard_sinks.values()),
-            executor=ProcessShardedExecutor(shards=shards),
+            executor=HybridExecutor(shards, 1),
         )
         assert_reductions_identical(sequential, sharded)
         assert_exact_sinks_identical(seq_sinks, shard_sinks)
-        assert sharded.executor == "processes"
+        assert sharded.executor == "hybrid"
         assert sharded.workers == shards
 
     def test_pad_batch_bitwise_matches_sequential(self, ibmpg1_grid, ibmpg1_bench):
@@ -194,7 +208,7 @@ class TestProcessShardedEquivalence:
         engine = BatchedAnalysisEngine()
         sequential = engine.analyze_pad_batch(ibmpg1_grid, pad_matrix, chunk_size=2, workers=1)
         sharded = engine.analyze_pad_batch(
-            ibmpg1_grid, pad_matrix, chunk_size=2, executor="processes"
+            ibmpg1_grid, pad_matrix, chunk_size=2, executor=HybridExecutor(2, 1)
         )
         assert_reductions_identical(sequential, sharded)
 
@@ -209,10 +223,10 @@ class TestProcessShardedEquivalence:
             source,
             load_sweep.shape[0],
             chunk_size=5,
-            executor=ProcessShardedExecutor(shards=3),
+            executor=HybridExecutor(3, 1),
         )
         assert_reductions_identical(sequential, sharded)
-        assert sharded.executor == "processes"
+        assert sharded.executor == "hybrid"
 
     def test_statistical_vectorless_bitwise_matches_sequential(self, ibmpg1_grid):
         budget = uniform_budget(ibmpg1_grid, headroom=1.3, utilisation=0.9)
@@ -225,7 +239,7 @@ class TestProcessShardedEquivalence:
             30,
             chunk_size=7,
             seed=5,
-            executor=ProcessShardedExecutor(shards=2),
+            executor=HybridExecutor(2, 1),
         )
         assert_reductions_identical(sequential.sweep, sharded.sweep)
         assert sequential.worst_observed == sharded.worst_observed
@@ -234,54 +248,15 @@ class TestProcessShardedEquivalence:
         """One factorization lands in the parent for follow-up solves."""
         engine = BatchedAnalysisEngine()
         engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=7, executor="processes"
+            ibmpg1_grid, load_sweep, chunk_size=7, executor=HybridExecutor(2, 1)
         )
         assert engine.cache_info().factorizations == 1
         follow_up = engine.analyze(ibmpg1_grid)
         assert follow_up.worst_ir_drop > 0
         assert engine.cache_info().factorizations == 1  # served from cache
 
-    def test_reservoir_merge_statistically_valid(self, ibmpg1_grid, nominal_worst):
-        """Merged reservoirs estimate the true quantiles about as well as
-        one sequential reservoir (deterministic seeds — no flakiness)."""
-        spec = PerturbationSpec(
-            gamma=0.25, kind=PerturbationKind.CURRENT_WORKLOADS, seed=13
-        )
-        big_sweep = perturbed_load_matrix(ibmpg1_grid, spec, 400)
-        engine = BatchedAnalysisEngine()
-        reference = engine.analyze_batch(ibmpg1_grid, big_sweep, chunk_size=64)
-        worst = reference.worst_ir_drop
-        true = np.quantile(worst, (0.5, 0.9))
-        spread = worst.max() - worst.min()
-        sink = ReservoirQuantileSink(64, (0.5, 0.9), seed=3)
-        engine.analyze_batch(
-            ibmpg1_grid,
-            big_sweep,
-            chunk_size=64,
-            sinks=[sink],
-            executor=ProcessShardedExecutor(shards=4),
-        )
-        estimate = sink.result()
-        assert estimate.num_scenarios == 400
-        assert np.all(np.abs(estimate.values - true) <= 0.15 * spread)
-
 
 class TestProcessShardedRejections:
-    def test_p2_rejected_with_pointer_to_sketch(self, ibmpg1_grid, load_sweep):
-        engine = BatchedAnalysisEngine()
-        with pytest.raises(ExecutorIncompatibility, match="QuantileSketchSink"):
-            engine.analyze_batch(
-                ibmpg1_grid,
-                load_sweep,
-                chunk_size=7,
-                sinks=[P2QuantileSink([0.5])],
-                executor=ProcessShardedExecutor(shards=2),
-            )
-
-    def test_p2_not_mergeable_reservoir_is(self):
-        assert not isinstance(P2QuantileSink([0.5]), MergeableSink)
-        assert isinstance(ReservoirQuantileSink(8, [0.5]), MergeableSink)
-
     def test_unpicklable_source_rejected(self, ibmpg1_grid, load_sweep):
         engine = BatchedAnalysisEngine()
         with pytest.raises(ExecutorIncompatibility, match="picklable"):
@@ -292,36 +267,37 @@ class TestProcessShardedRejections:
                 lambda begin, end: (load_sweep[begin:end], None),  # reprolint: disable=RPR002
                 load_sweep.shape[0],
                 chunk_size=5,
-                executor="processes",
+                executor=HybridExecutor(2, 1),
             )
 
     def test_incompatibility_raised_before_sinks_bind(self, ibmpg1_grid, load_sweep):
         """Rejection must leave the sinks reusable (nothing observed)."""
         engine = BatchedAnalysisEngine()
-        p2 = P2QuantileSink([0.5])
+        ordered = OrderRecordingSink()
         exceedance = ExceedanceCountSink(0.1)
-        with pytest.raises(ExecutorIncompatibility):
+        with pytest.raises(ExecutorIncompatibility, match="OrderRecordingSink.*MergeableSink"):
             engine.analyze_batch(
                 ibmpg1_grid,
                 load_sweep,
                 chunk_size=7,
-                sinks=[exceedance, p2],
-                executor="processes",
+                sinks=[exceedance, ordered],
+                executor=HybridExecutor(2, 2),
             )
-        # The same sinks still run fine on the threaded path.
+        # The same sinks still run fine on one shard's threaded pipeline.
         engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=7, sinks=[exceedance, p2], workers=2
+            ibmpg1_grid, load_sweep, chunk_size=7, sinks=[exceedance, ordered], workers=2
         )
         assert exceedance.num_consumed == load_sweep.shape[0]
+        assert ordered.num_consumed == load_sweep.shape[0]
 
 
 class TestExecutorResolution:
     def test_make_executor_names(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert make_executor("threads", 3).parallelism == 3
-        assert make_executor("processes", 5).parallelism == 5
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("fibers")
+        assert make_executor("hybrid", 3).shard_workers == 3
+        for unknown in ("threads", "processes", "fibers"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                make_executor(unknown)
         with pytest.raises(ValueError, match="serial"):
             make_executor("serial", 4)
 
@@ -337,7 +313,7 @@ class TestExecutorResolution:
             )
         # A *named* executor combines with workers= as its parallelism.
         result = engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=7, workers=2, executor="threads"
+            ibmpg1_grid, load_sweep, chunk_size=7, workers=2, executor="hybrid"
         )
         assert result.reductions is not None
 
@@ -347,7 +323,7 @@ class TestExecutorResolution:
             ibmpg1_grid, load_sweep, chunk_size=7, executor=SerialExecutor()
         )
         threaded = engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=7, executor=ThreadedExecutor(3)
+            ibmpg1_grid, load_sweep, chunk_size=7, executor=HybridExecutor(1, 3)
         )
         assert_reductions_identical(serial, threaded)
 
@@ -365,7 +341,7 @@ class TestExecutorResolution:
         assert result.workers == 1
 
     def test_env_default_executor(self, monkeypatch, ibmpg1_grid, load_sweep):
-        monkeypatch.setenv(EXECUTOR_ENV, "processes")
+        monkeypatch.setenv(EXECUTOR_ENV, "hybrid")
         engine = BatchedAnalysisEngine()
         reference = BatchedAnalysisEngine(default_executor="serial").analyze_batch(
             ibmpg1_grid, load_sweep, chunk_size=7
@@ -376,20 +352,24 @@ class TestExecutorResolution:
     def test_env_default_falls_back_for_incompatible_sweeps(
         self, monkeypatch, ibmpg1_grid, load_sweep
     ):
-        monkeypatch.setenv(EXECUTOR_ENV, "processes")
+        monkeypatch.setenv(EXECUTOR_ENV, "hybrid")
+        monkeypatch.setenv(HYBRID_SHARD_WORKERS_ENV, "2")
         engine = BatchedAnalysisEngine()
-        # P² sink: not mergeable -> threads fallback, sweep still succeeds.
-        sink = P2QuantileSink([0.5])
-        engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[sink])
-        assert sink.result().num_scenarios == load_sweep.shape[0]
-        # Closure source: not picklable -> threads fallback.
-        stream = engine.analyze_scenario_stream(
-            ibmpg1_grid,
-            lambda begin, end: (load_sweep[begin:end], None),
-            load_sweep.shape[0],
-            chunk_size=5,
-        )
-        assert stream.executor == "threads"
+        # Order-dependent sink: not mergeable -> one-shard fallback, sweep
+        # still succeeds.
+        sink = OrderRecordingSink()
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[sink])
+        assert sink.num_consumed == load_sweep.shape[0]
+        # Closure source: not picklable -> one-shard fallback.
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            stream = engine.analyze_scenario_stream(
+                ibmpg1_grid,
+                lambda begin, end: (load_sweep[begin:end], None),
+                load_sweep.shape[0],
+                chunk_size=5,
+            )
+        assert stream.workers == engine.default_workers
 
     def test_env_value_validated(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV, "bogus")
@@ -397,24 +377,25 @@ class TestExecutorResolution:
             BatchedAnalysisEngine()
 
     def test_explicit_executor_overrides_env(self, monkeypatch, ibmpg1_grid, load_sweep):
-        monkeypatch.setenv(EXECUTOR_ENV, "processes")
+        monkeypatch.setenv(EXECUTOR_ENV, "hybrid")
         engine = BatchedAnalysisEngine()
-        # An explicit executor is strict: P² + processes raises even
-        # though the environment default would have fallen back.
+        # An explicit executor is strict: a non-mergeable sink on process
+        # shards raises even though the environment default would have
+        # fallen back.
         with pytest.raises(ExecutorIncompatibility):
             engine.analyze_batch(
                 ibmpg1_grid,
                 load_sweep,
                 chunk_size=7,
-                sinks=[P2QuantileSink([0.5])],
-                executor="processes",
+                sinks=[OrderRecordingSink()],
+                executor=HybridExecutor(2, 1),
             )
 
     def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            ProcessShardedExecutor(shards=0)
-        with pytest.raises(ValueError, match="start_method"):
-            ProcessShardedExecutor(start_method="telepathy")
+        with pytest.raises(ValueError, match="shard_workers"):
+            HybridExecutor(0, 1)
+        with pytest.raises(ValueError, match="shard_workers"):
+            make_executor("hybrid", 0)
 
 
 class TestCompiledGridPickling:
@@ -502,7 +483,7 @@ class TestRematerialize:
             load_sweep,
             chunk_size=7,
             sinks=[topk_sink],
-            executor=ProcessShardedExecutor(shards=3),
+            executor=HybridExecutor(3, 1),
         )
         replayed = topk_sink.rematerialize(
             engine, ibmpg1_grid, MatrixScenarioSource(load_matrix=load_sweep)
@@ -590,45 +571,24 @@ class TestHybridEquivalence:
         assert_exact_sinks_identical(seq_sinks, hybrid_sinks)
         assert hybrid.executor == "hybrid"
 
-    def test_rebalance_off_matches_on(self, ibmpg1_grid, load_sweep, nominal_worst):
-        """Balancing redistributes work, never results."""
-        engine = BatchedAnalysisEngine()
-        results = {}
-        for rebalance in (False, True):
-            sinks = mergeable_sinks(nominal_worst)
-            executor = HybridExecutor(
-                shard_workers=3, threads_per_shard=2, rebalance=rebalance
-            )
-            results[rebalance] = (
-                engine.analyze_batch(
-                    ibmpg1_grid,
-                    load_sweep,
-                    chunk_size=5,
-                    sinks=tuple(sinks.values()),
-                    executor=executor,
-                ),
-                sinks,
-                dict(executor.last_stats),
-            )
-        assert_reductions_identical(results[False][0], results[True][0])
-        assert_exact_sinks_identical(results[False][1], results[True][1])
-        assert results[False][2]["rebalances"] == 0
-        assert results[False][2]["tasks"] == 3
-
-    def test_p2_rejected_before_sinks_bind(self, ibmpg1_grid, load_sweep):
-        engine = BatchedAnalysisEngine()
-        p2 = P2QuantileSink([0.5])
-        with pytest.raises(ExecutorIncompatibility, match="hybrid"):
-            engine.analyze_batch(
+    def test_killed_shard_worker_breaks_the_sweep_without_leaking(
+        self, ibmpg1_grid, load_sweep
+    ):
+        """A shard worker dying mid-sweep fails the sweep fast and the
+        parent still unlinks the shared payload segment."""
+        shm = Path("/dev/shm")
+        if not shm.is_dir():
+            pytest.skip("needs /dev/shm")
+        before = set(os.listdir(shm))
+        with pytest.raises(BrokenProcessPool):
+            BatchedAnalysisEngine().analyze_scenario_stream(
                 ibmpg1_grid,
-                load_sweep,
-                chunk_size=7,
-                sinks=[p2],
-                executor=HybridExecutor(shard_workers=2),
+                ExitingSource(load_sweep),
+                load_sweep.shape[0],
+                chunk_size=5,
+                executor=HybridExecutor(2, 1),
             )
-        # The rejection left the sink unbound and reusable.
-        engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[p2], workers=1)
-        assert p2.result().num_scenarios == load_sweep.shape[0]
+        assert set(os.listdir(shm)) - before == set()
 
 
 class TestHybridResolution:
@@ -677,20 +637,17 @@ class TestHybridResolution:
             HybridExecutor(shard_workers=0)
         with pytest.raises(ValueError, match="threads_per_shard"):
             HybridExecutor(shard_workers=2, threads_per_shard=0)
-        with pytest.raises(ValueError, match="max_oversubscribe"):
-            HybridExecutor(shard_workers=2, max_oversubscribe=0)
-        with pytest.raises(ValueError, match="start_method"):
-            HybridExecutor(shard_workers=2, start_method="telepathy")
 
     def test_env_default_falls_back_for_incompatible_sweeps(
         self, monkeypatch, ibmpg1_grid, load_sweep
     ):
         monkeypatch.setenv(EXECUTOR_ENV, "hybrid")
+        monkeypatch.setenv(HYBRID_SHARD_WORKERS_ENV, "2")
         engine = BatchedAnalysisEngine()
-        sink = P2QuantileSink([0.5])
+        sink = OrderRecordingSink()
         with pytest.warns(RuntimeWarning, match="hybrid"):
             engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[sink])
-        assert sink.result().num_scenarios == load_sweep.shape[0]
+        assert sink.num_consumed == load_sweep.shape[0]
 
     def test_env_default_matches_serial(self, monkeypatch, ibmpg1_grid, load_sweep):
         monkeypatch.setenv(EXECUTOR_ENV, "hybrid")
@@ -822,7 +779,8 @@ class TestSharedGridPayload:
     def test_process_sharded_uses_shared_payload(
         self, ibmpg1_grid, load_sweep, nominal_worst
     ):
-        """The PR-8 executor gets the zero-copy startup win for free."""
+        """Plain process sharding (one thread per shard) ships the grid
+        through the shared segment too."""
         engine = BatchedAnalysisEngine()
         seq_sinks = mergeable_sinks(nominal_worst)
         sequential = engine.analyze_batch(
@@ -833,7 +791,7 @@ class TestSharedGridPayload:
             workers=1,
         )
         shard_sinks = mergeable_sinks(nominal_worst)
-        executor = ProcessShardedExecutor(shards=2)
+        executor = HybridExecutor(2, 1)
         sharded = engine.analyze_batch(
             ibmpg1_grid,
             load_sweep,

@@ -5,9 +5,10 @@ stealing, retry caps, outcome collection) with an injected clock and no
 HTTP; coordinator + in-process worker integration over real HTTP on a
 loopback socket (bitwise equivalence against the sequential sweep at
 several worker counts, lease-expiry recovery from a worker that leases
-and vanishes); and executor resolution (``make_executor("remote")``,
-``REPRO_TEST_EXECUTOR=remote``, the lenient-fallback warning naming the
-sink and the entry point).
+and vanishes, payloads workers refuse to load); and executor resolution
+(``make_executor("remote")``, ``REPRO_TEST_EXECUTOR=remote``, the
+coordinator requirement, the lenient-fallback warning naming the sink
+and the entry point).
 """
 
 import pickle
@@ -19,9 +20,11 @@ import pytest
 from repro.analysis import (
     BatchedAnalysisEngine,
     ExecutorIncompatibility,
-    P2QuantileSink,
+    MatrixScenarioSource,
     QuantileSketchSink,
     RemoteExecutor,
+    SharedGridPayload,
+    SweepPlan,
     SweepQueue,
     TopKScenarioSink,
     make_coordinator,
@@ -29,18 +32,17 @@ from repro.analysis import (
     run_worker,
 )
 from repro.analysis.executors import EXECUTOR_ENV, EXECUTOR_NAMES
-from repro.analysis.remote import (
-    COORDINATOR_ENV,
-    REMOTE_WORKERS_ENV,
-    _request,
-    shutdown_warm_fleets,
-)
+from repro.analysis.remote import COORDINATOR_ENV, REMOTE_WORKERS_ENV, _request
 from repro.grid import (
     PerturbationKind,
     PerturbationSpec,
     SyntheticIBMSuite,
     perturbed_load_matrix,
 )
+from tests.analysis.order_sink import OrderRecordingSink
+
+DEAD_COORDINATOR = "http://127.0.0.1:9"
+"""A coordinator URL nothing listens on (the discard port)."""
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +199,26 @@ def run_remote_sweep(grid, load_sweep, executor, sinks):
     return batch, engine
 
 
+def submit_and_wait(url, payload, timeout=30.0):
+    """POST a raw sweep payload and poll until its outcome is done."""
+    import time
+
+    body = pickle.dumps(
+        {"payload": payload, "ranges": [(0, 5)], "lease_timeout": 30.0, "max_attempts": 2}
+    )
+    status, response = _request(f"{url}/sweeps", data=body)
+    assert status == 200
+    sweep_id = pickle.loads(response)["sweep"]
+    start = time.monotonic()
+    while time.monotonic() - start < timeout:
+        status, response = _request(f"{url}/outcome/{sweep_id}")
+        outcome = pickle.loads(response)
+        if outcome["done"]:
+            return outcome
+        time.sleep(0.05)
+    return outcome
+
+
 class TestRemoteSweeps:
     @pytest.fixture(scope="class")
     def sequential(self, ibmpg1_grid, load_sweep):
@@ -277,70 +299,90 @@ class TestRemoteSweeps:
         )
         assert np.array_equal(sinks[0].result().values, seq_sinks[0].result().values)
 
-    def test_poison_payload_fails_the_sweep_instead_of_hanging(self, coordinator):
-        stop, threads = start_workers(coordinator.url, 1)
+    def test_matches_serial_with_threads_per_shard(
+        self, ibmpg1_grid, load_sweep, coordinator, sequential
+    ):
+        stop, threads = start_workers(coordinator.url, 2)
         try:
-            body = pickle.dumps(
-                {
-                    "payload": b"not a pickle",
-                    "ranges": [(0, 5)],
-                    "lease_timeout": 30.0,
-                    "max_attempts": 2,
-                }
+            sinks = (QuantileSketchSink((0.5, 0.9)), TopKScenarioSink(4))
+            executor = RemoteExecutor(
+                workers=2,
+                coordinator=coordinator.url,
+                threads_per_shard=2,
+                oversubscribe=2,
+                timeout=120.0,
             )
-            status, response = _request(f"{coordinator.url}/sweeps", data=body)
-            assert status == 200
-            sweep_id = pickle.loads(response)["sweep"]
-            deadline = 30.0
-            import time
-
-            start = time.monotonic()
-            while time.monotonic() - start < deadline:
-                status, response = _request(f"{coordinator.url}/outcome/{sweep_id}")
-                outcome = pickle.loads(response)
-                if outcome["done"]:
-                    break
-                time.sleep(0.05)
-            assert outcome["done"]
-            assert "unloadable payload" in outcome["error"]
+            batch, _ = run_remote_sweep(ibmpg1_grid, load_sweep, executor, sinks)
         finally:
             stop.set()
             for thread in threads:
                 thread.join(timeout=10.0)
-
-    def test_unreachable_coordinator_fails_loudly(self, ibmpg1_grid, load_sweep):
-        executor = RemoteExecutor(workers=2, coordinator="http://127.0.0.1:9")
-        with pytest.raises(RuntimeError, match="cannot reach the remote coordinator"):
-            run_remote_sweep(ibmpg1_grid, load_sweep, executor, ())
-
-    def test_p2_rejected_before_anything_runs(self, ibmpg1_grid, load_sweep):
-        executor = RemoteExecutor(workers=2, coordinator="http://127.0.0.1:9")
-        # Incompatibility precedes any coordinator traffic: the dead URL
-        # is never contacted.
-        with pytest.raises(ExecutorIncompatibility, match="remote shards"):
-            run_remote_sweep(ibmpg1_grid, load_sweep, executor, (P2QuantileSink([0.5]),))
-
-    def test_embedded_mode_needs_no_coordinator(
-        self, ibmpg1_grid, load_sweep, sequential, monkeypatch
-    ):
-        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
-        sinks = (QuantileSketchSink((0.5, 0.9)),)
-        executor = RemoteExecutor(workers=2, timeout=120.0)
-        assert executor.coordinator is None
-        batch, _ = run_remote_sweep(ibmpg1_grid, load_sweep, executor, sinks)
         seq_batch, seq_sinks = sequential
         assert np.array_equal(
             batch.reductions.worst_ir_drop, seq_batch.reductions.worst_ir_drop
         )
         assert np.array_equal(sinks[0].result().values, seq_sinks[0].result().values)
+        assert np.array_equal(
+            sinks[1].result().scenario_index, seq_sinks[1].result().scenario_index
+        )
+
+    def test_poison_payload_fails_the_sweep_instead_of_hanging(self, coordinator):
+        stop, threads = start_workers(coordinator.url, 1)
+        try:
+            outcome = submit_and_wait(coordinator.url, b"not a pickle")
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        assert outcome["done"]
+        assert "unloadable payload" in outcome["error"]
+
+    def test_shared_memory_descriptor_is_not_attached(
+        self, ibmpg1_grid, load_sweep, coordinator
+    ):
+        """Workers load only plain pickles: a pickled shared-memory
+        descriptor is refused, even while the segment it names exists."""
+        plan = SweepPlan(
+            engine=BatchedAnalysisEngine(),
+            compiled=ibmpg1_grid.compile(),
+            scenario_source=MatrixScenarioSource(load_matrix=load_sweep),
+            num_scenarios=load_sweep.shape[0],
+            chunk_size=7,
+            sinks=(),
+        )
+        stop, threads = start_workers(coordinator.url, 1)
+        try:
+            with SharedGridPayload.create(plan, "test") as shared:
+                assert shared.descriptor[0] == "shm"
+                outcome = submit_and_wait(coordinator.url, pickle.dumps(shared.descriptor))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        assert outcome["done"]
+        assert outcome["error"] is not None
+        assert "unloadable payload" in outcome["error"]
+
+    def test_unreachable_coordinator_fails_loudly(self, ibmpg1_grid, load_sweep):
+        executor = RemoteExecutor(workers=2, coordinator=DEAD_COORDINATOR)
+        with pytest.raises(RuntimeError, match="cannot reach the remote coordinator"):
+            run_remote_sweep(ibmpg1_grid, load_sweep, executor, ())
+
+    def test_non_mergeable_sink_rejected_before_anything_runs(self, ibmpg1_grid, load_sweep):
+        executor = RemoteExecutor(workers=2, coordinator=DEAD_COORDINATOR)
+        # Incompatibility precedes any coordinator traffic: the dead URL
+        # is never contacted.
+        with pytest.raises(ExecutorIncompatibility, match="remote shards"):
+            run_remote_sweep(ibmpg1_grid, load_sweep, executor, (OrderRecordingSink(),))
 
 
 # ----------------------------------------------------------------------
 # Resolution and configuration
 # ----------------------------------------------------------------------
 class TestResolution:
-    def test_remote_is_a_registered_executor_name(self):
+    def test_remote_is_a_registered_executor_name(self, monkeypatch):
         assert "remote" in EXECUTOR_NAMES
+        monkeypatch.setenv(COORDINATOR_ENV, DEAD_COORDINATOR)
         executor = make_executor("remote", 3)
         assert isinstance(executor, RemoteExecutor)
         assert executor.parallelism == 3
@@ -350,7 +392,16 @@ class TestResolution:
         executor = RemoteExecutor(workers=2)
         assert executor.coordinator == "http://example.invalid:1234"
 
+    def test_coordinator_is_required(self, monkeypatch):
+        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
+        with pytest.raises(ValueError, match=COORDINATOR_ENV):
+            RemoteExecutor(workers=2)
+        monkeypatch.setenv(EXECUTOR_ENV, "remote")
+        with pytest.raises(ValueError, match=EXECUTOR_ENV):
+            BatchedAnalysisEngine()
+
     def test_workers_env_sizes_the_hint(self, monkeypatch):
+        monkeypatch.setenv(COORDINATOR_ENV, DEAD_COORDINATOR)
         monkeypatch.setenv(REMOTE_WORKERS_ENV, "5")
         assert RemoteExecutor().workers == 5
         monkeypatch.setenv(REMOTE_WORKERS_ENV, "two")
@@ -359,7 +410,7 @@ class TestResolution:
 
     def test_executor_env_selects_remote(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV, "remote")
-        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
+        monkeypatch.setenv(COORDINATOR_ENV, DEAD_COORDINATOR)
         engine = BatchedAnalysisEngine()
         assert isinstance(engine._default_executor, RemoteExecutor)
         assert engine._default_executor_lenient
@@ -372,33 +423,27 @@ class TestResolution:
             {"lease_timeout": 0.0},
             {"max_attempts": 0},
             {"timeout": 0.0},
-            {"start_method": "nonsense"},
+            {"threads_per_shard": 0},
         ],
     )
     def test_rejects_bad_configuration(self, kwargs):
         with pytest.raises(ValueError):
-            RemoteExecutor(**kwargs)
+            RemoteExecutor(coordinator=DEAD_COORDINATOR, **kwargs)
+
+    def test_threads_per_shard_config(self):
+        executor = RemoteExecutor(workers=3, coordinator=DEAD_COORDINATOR, threads_per_shard=2)
+        assert executor.parallelism == 6
 
     def test_lenient_fallback_warns_with_sink_and_entry_point(
         self, ibmpg1_grid, load_sweep, monkeypatch
     ):
         """The env-default downgrade names the offender and the entry point."""
         monkeypatch.setenv(EXECUTOR_ENV, "remote")
-        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
+        monkeypatch.setenv(COORDINATOR_ENV, DEAD_COORDINATOR)
         engine = BatchedAnalysisEngine()
-        with pytest.warns(RuntimeWarning, match=r"analyze_batch:.*P2QuantileSink"):
+        with pytest.warns(RuntimeWarning, match=r"analyze_batch:.*OrderRecordingSink"):
             engine.analyze_batch(
-                ibmpg1_grid, load_sweep, chunk_size=7, sinks=[P2QuantileSink([0.5])]
-            )
-
-    def test_lenient_fallback_warns_for_processes_too(
-        self, ibmpg1_grid, load_sweep, monkeypatch
-    ):
-        monkeypatch.setenv(EXECUTOR_ENV, "processes")
-        engine = BatchedAnalysisEngine()
-        with pytest.warns(RuntimeWarning, match=r"analyze_batch:.*P2QuantileSink"):
-            engine.analyze_batch(
-                ibmpg1_grid, load_sweep, chunk_size=7, sinks=[P2QuantileSink([0.5])]
+                ibmpg1_grid, load_sweep, chunk_size=7, sinks=[OrderRecordingSink()]
             )
 
     def test_explicit_executor_still_raises_without_warning(
@@ -410,73 +455,6 @@ class TestResolution:
                 ibmpg1_grid,
                 load_sweep,
                 chunk_size=7,
-                sinks=[P2QuantileSink([0.5])],
-                executor=RemoteExecutor(workers=2),
+                sinks=[OrderRecordingSink()],
+                executor=RemoteExecutor(workers=2, coordinator=DEAD_COORDINATOR),
             )
-
-
-# ----------------------------------------------------------------------
-# Warm embedded fleet
-# ----------------------------------------------------------------------
-class TestWarmEmbeddedFleet:
-    @pytest.fixture(autouse=True)
-    def cold_fleet(self, monkeypatch):
-        """Each test starts (and ends) with no warm fleet alive."""
-        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
-        shutdown_warm_fleets()
-        yield
-        shutdown_warm_fleets()
-
-    def test_workers_reused_across_sweeps(self, ibmpg1_grid, load_sweep):
-        executor = RemoteExecutor(workers=2, oversubscribe=2, timeout=120.0)
-        sinks = (QuantileSketchSink((0.5, 0.9)),)
-        first, _ = run_remote_sweep(ibmpg1_grid, load_sweep, executor, sinks)
-        assert executor.last_stats["workers_reused"] == 0  # cold start
-        assert executor.last_stats["payload_bytes_shared"] > 0
-        second, _ = run_remote_sweep(
-            ibmpg1_grid, load_sweep, executor, (QuantileSketchSink((0.5, 0.9)),)
-        )
-        assert executor.last_stats["workers_reused"] == 2
-        assert np.array_equal(
-            first.reductions.worst_ir_drop, second.reductions.worst_ir_drop
-        )
-
-    def test_fleet_shared_between_executor_instances(self, ibmpg1_grid, load_sweep):
-        sinks = (TopKScenarioSink(4),)
-        run_remote_sweep(
-            ibmpg1_grid, load_sweep, RemoteExecutor(workers=2, timeout=120.0), sinks
-        )
-        executor = RemoteExecutor(workers=2, timeout=120.0)
-        run_remote_sweep(ibmpg1_grid, load_sweep, executor, (TopKScenarioSink(4),))
-        assert executor.last_stats["workers_reused"] == 2
-
-    def test_shutdown_is_idempotent_and_cools_the_fleet(self, ibmpg1_grid, load_sweep):
-        executor = RemoteExecutor(workers=2, timeout=120.0)
-        run_remote_sweep(ibmpg1_grid, load_sweep, executor, (TopKScenarioSink(4),))
-        shutdown_warm_fleets()
-        shutdown_warm_fleets()  # second call: nothing left, no error
-        run_remote_sweep(ibmpg1_grid, load_sweep, executor, (TopKScenarioSink(4),))
-        assert executor.last_stats["workers_reused"] == 0  # cold again
-
-    def test_embedded_matches_serial_with_threads_per_shard(
-        self, ibmpg1_grid, load_sweep
-    ):
-        sinks = (QuantileSketchSink((0.5, 0.9)), TopKScenarioSink(4))
-        serial, _ = run_remote_sweep(ibmpg1_grid, load_sweep, "serial", sinks)
-        executor = RemoteExecutor(
-            workers=2, threads_per_shard=2, oversubscribe=2, timeout=120.0
-        )
-        hybrid_sinks = (QuantileSketchSink((0.5, 0.9)), TopKScenarioSink(4))
-        remote, _ = run_remote_sweep(ibmpg1_grid, load_sweep, executor, hybrid_sinks)
-        assert np.array_equal(
-            serial.reductions.worst_ir_drop, remote.reductions.worst_ir_drop
-        )
-        assert np.array_equal(sinks[0].result().values, hybrid_sinks[0].result().values)
-        assert np.array_equal(
-            sinks[1].result().scenario_index, hybrid_sinks[1].result().scenario_index
-        )
-
-    def test_threads_per_shard_config(self):
-        assert RemoteExecutor(workers=3, threads_per_shard=2).parallelism == 6
-        with pytest.raises(ValueError, match="threads_per_shard"):
-            RemoteExecutor(workers=2, threads_per_shard=0)

@@ -2,8 +2,8 @@
 
 Exact sinks (histogram, exceedance, top-k) must match a dense single-shot
 reference **bitwise** for every chunk size — including ``chunk_size=1`` and
-chunk sizes larger than the sweep.  Quantile sinks must be exact while the
-stream fits (reservoir) or within tolerance (P²).  Mega-sweeps must equal
+chunk sizes larger than the sweep.  The quantile sketch must stay within
+its relative-error bound (see also ``test_sketch.py``).  Mega-sweeps must equal
 an explicitly materialised cross product, and the statistical vectorless
 sweep must stay below the deterministic worst-case bound.
 """
@@ -17,8 +17,7 @@ from repro.analysis import (
     ExceedanceCountSink,
     JointExceedanceSink,
     NodeHistogramSink,
-    P2QuantileSink,
-    ReservoirQuantileSink,
+    QuantileSketchSink,
     TopKScenarioSink,
     VectorlessAnalyzer,
     uniform_budget,
@@ -173,91 +172,25 @@ class TestQuantileSinks:
         spec = PerturbationSpec(gamma=0.25, kind=PerturbationKind.CURRENT_WORKLOADS, seed=13)
         return perturbed_load_matrix(ibmpg1_grid, spec, 400)
 
-    @pytest.fixture(scope="class")
-    def worst_distribution(self, ibmpg1_grid, big_sweep):
-        batch = BatchedAnalysisEngine().analyze_batch(ibmpg1_grid, big_sweep, chunk_size=64)
-        return batch.worst_ir_drop
-
-    def test_reservoir_exact_when_stream_fits(self, ibmpg1_grid, big_sweep, worst_distribution):
-        levels = (0.1, 0.5, 0.9, 0.99)
-        sink = ReservoirQuantileSink(big_sweep.shape[0], levels)
-        run_sinks(ibmpg1_grid, big_sweep, 33, [sink])
-        estimate = sink.result()
-        assert estimate.exact
-        assert np.array_equal(estimate.values, np.quantile(worst_distribution, levels))
-        assert estimate.value(0.5) == float(np.quantile(worst_distribution, 0.5))
-
-    def test_reservoir_chunking_invariant(self, ibmpg1_grid, big_sweep):
-        """One ordered fold: the sample depends only on seed and order.
-
-        This is a property of the serial / threaded executors (one fold in
-        ascending scenario order); the process-sharded executor instead
-        *merges* per-shard reservoirs by weighted resampling, so the
-        executor is pinned here rather than inherited from
-        ``REPRO_TEST_EXECUTOR``.
-        """
-        results = []
-        for chunk_size in (11, 160, None):
-            sink = ReservoirQuantileSink(64, (0.5, 0.9), seed=3)
-            BatchedAnalysisEngine().analyze_batch(
-                ibmpg1_grid, big_sweep, chunk_size=chunk_size, sinks=[sink],
-                executor="threads",
-            )
-            results.append(sink.result().values)
-        assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
-
-    def test_p2_quantiles_within_tolerance(self, ibmpg1_grid, big_sweep, worst_distribution):
-        levels = (0.5, 0.9)
-        sink = P2QuantileSink(levels)
-        run_sinks(ibmpg1_grid, big_sweep, 50, [sink])
-        estimate = sink.result()
-        assert not estimate.exact
-        spread = worst_distribution.max() - worst_distribution.min()
-        for level, value in zip(levels, estimate.values):
-            assert abs(value - np.quantile(worst_distribution, level)) <= 0.1 * spread
-
-    def test_p2_chunking_invariant(self, ibmpg1_grid, big_sweep):
-        """The vectorised P² buffers to fixed internal blocks, so the
-        estimate depends only on the scenario order — not on how the
-        engine chunked the sweep."""
-        results = []
-        for chunk_size in (13, 50, 256, None):
-            sink = P2QuantileSink((0.5, 0.9))
-            BatchedAnalysisEngine().analyze_batch(
-                ibmpg1_grid, big_sweep, chunk_size=chunk_size, sinks=[sink],
-                executor="threads",
-            )
-            results.append(sink.result().values)
-        for other in results[1:]:
-            assert np.array_equal(results[0], other)
-
-    def test_p2_exact_for_tiny_streams(self, ibmpg1_grid, load_sweep):
-        sink = P2QuantileSink([0.5], statistic="mean")
-        BatchedAnalysisEngine().analyze_batch(ibmpg1_grid, load_sweep[:4], sinks=[sink])
-        estimate = sink.result()
-        batch = BatchedAnalysisEngine().analyze_batch(ibmpg1_grid, load_sweep[:4])
-        assert estimate.exact
-        assert estimate.values[0] == np.quantile(batch.average_ir_drop, 0.5)
-
     def test_mean_statistic_tracks_average(self, ibmpg1_grid, big_sweep):
-        sink = ReservoirQuantileSink(big_sweep.shape[0], (0.5,), statistic="mean")
+        sink = QuantileSketchSink((0.5,), statistic="mean", relative_error=0.01)
         batch = BatchedAnalysisEngine().analyze_batch(
             ibmpg1_grid, big_sweep, chunk_size=128, sinks=[sink]
         )
-        assert sink.result().values[0] == np.quantile(batch.average_ir_drop, 0.5)
+        estimate = sink.result()
+        reference = np.quantile(batch.average_ir_drop, 0.5, method="lower")
+        assert estimate.statistic == "mean"
+        assert abs(estimate.value(0.5) - reference) <= 0.01 * reference
 
     def test_invalid_quantile_specs_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            P2QuantileSink([])
+            QuantileSketchSink([])
         with pytest.raises(ValueError, match="ascending"):
-            P2QuantileSink([0.9, 0.5])
+            QuantileSketchSink([0.9, 0.5])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ReservoirQuantileSink(10, [1.5])
-        with pytest.raises(ValueError, match="capacity"):
-            ReservoirQuantileSink(0, [0.5])
+            QuantileSketchSink([1.5])
         with pytest.raises(ValueError, match="statistic"):
-            P2QuantileSink([0.5], statistic="median")
+            QuantileSketchSink([0.5], statistic="median")
 
 
 class TestSinkProtocol:
@@ -302,10 +235,9 @@ class TestSinkProtocol:
             lambda: NodeHistogramSink([0.0, 1.0]),
             lambda: ExceedanceCountSink(0.1),
             lambda: TopKScenarioSink(3),
-            lambda: P2QuantileSink([0.5]),
-            lambda: ReservoirQuantileSink(8, [0.5]),
+            lambda: QuantileSketchSink([0.5]),
         ],
-        ids=["histogram", "exceedance", "topk", "p2", "reservoir"],
+        ids=["histogram", "exceedance", "topk", "sketch"],
     )
     def test_every_sink_rejects_unbound_result(self, sink_factory):
         """A sink never handed to the engine must not fake an empty result."""
@@ -418,13 +350,13 @@ class TestSnapshotMerge:
         large_k.consume_drop_rows(drops[:10], 0)
         with pytest.raises(ValueError, match="different k"):
             small_k.merge(large_k.snapshot())
-        narrow = ReservoirQuantileSink(8, [0.5])
-        wide = ReservoirQuantileSink(16, [0.5])
-        for sink in (narrow, wide):
+        coarse_sketch = QuantileSketchSink([0.5], relative_error=0.05)
+        fine_sketch = QuantileSketchSink([0.5], relative_error=0.01)
+        for sink in (coarse_sketch, fine_sketch):
             sink.bind(compiled, self.SCENARIOS)
-        wide.consume_drop_rows(drops[:10], 0)
-        with pytest.raises(ValueError, match="capacity"):
-            narrow.merge(wide.snapshot())
+        fine_sketch.consume_drop_rows(drops[:10], 0)
+        with pytest.raises(ValueError, match="relative_error"):
+            coarse_sketch.merge(fine_sketch.snapshot())
 
     def test_overrun_merge_rejected(self, synthetic):
         compiled, drops = synthetic
@@ -456,22 +388,6 @@ class TestSnapshotMerge:
         frozen = snapshot.state["counts"].copy()
         sink.consume_drop_rows(drops[30:60], 30)
         assert np.array_equal(snapshot.state["counts"], frozen)
-
-    def test_reservoir_merge_exact_while_it_fits(self, synthetic):
-        compiled, drops = synthetic
-        parent = ReservoirQuantileSink(self.SCENARIOS, (0.5,), seed=1)
-        parent.bind(compiled, self.SCENARIOS)
-        begin = 0
-        for width in (30, 30, 30):
-            shard = ReservoirQuantileSink(self.SCENARIOS, (0.5,), seed=2)
-            shard.bind(compiled, width)
-            shard.consume_drop_rows(drops[begin : begin + width], 0)
-            parent.merge(shard.snapshot())
-            begin += width
-        estimate = parent.result()
-        assert estimate.exact
-        worst = np.ascontiguousarray(drops).max(axis=1)
-        assert estimate.values[0] == np.quantile(worst, 0.5)
 
 
 class TestMegaSweep:
@@ -589,7 +505,7 @@ class TestStatisticalVectorless:
     def test_observed_below_deterministic_bound(self, ibmpg1_grid, budget):
         analyzer = VectorlessAnalyzer(BatchedAnalysisEngine())
         result = analyzer.analyze_statistical(
-            ibmpg1_grid, budget, 60, chunk_size=16, sinks=[P2QuantileSink([0.9])]
+            ibmpg1_grid, budget, 60, chunk_size=16, sinks=[QuantileSketchSink([0.9])]
         )
         assert result.num_scenarios == 60
         assert result.worst_observed <= result.worst_case_bound + 1e-12

@@ -1,8 +1,8 @@
 """Property-style determinism suite for the quantile sketch sink.
 
-The sketch's contract is stronger than the reservoir's: because its state
-is a pure integer bucket-counter array, the merged result must be
-**identical** — not statistically equivalent — to the sequential sweep
+The sketch's contract: because its state is a pure integer bucket-counter
+array, the merged result must be **identical** — not statistically
+equivalent — to the sequential sweep
 for every shard count (1 / even / 3 / non-divisor), every chunk size
 (including 1 and non-divisors) and every association of the merges, and
 every reported quantile must sit within the documented relative error of
@@ -14,8 +14,8 @@ import pytest
 
 from repro.analysis import (
     BatchedAnalysisEngine,
+    HybridExecutor,
     MergeableSink,
-    ProcessShardedExecutor,
     QuantileSketchSink,
 )
 from repro.grid import (
@@ -222,7 +222,7 @@ class TestSketchOnRealSweeps:
             load_sweep,
             chunk_size=7,
             sinks=[sink],
-            executor=ProcessShardedExecutor(shards=shards),
+            executor=HybridExecutor(shards, 1),
         )
         assert np.array_equal(sink.result().values, sequential_values)
 

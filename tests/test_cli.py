@@ -200,24 +200,23 @@ class TestSweep:
         assert main(["sweep", "ibmpg1", "--executor", "serial", "--workers", "2"]) == 2
         assert "--executor serial" in capsys.readouterr().err
 
-    def test_sweep_executor_processes(self, tmp_path, capsys):
-        """--executor processes shards the sweep and reports exact
-        statistics identical to the threaded run (quantiles switch to the
-        mergeable reservoir sample and are excluded)."""
+    def test_sweep_executor_hybrid(self, tmp_path, capsys):
+        """--executor hybrid shards the sweep and reports statistics —
+        quantiles included — identical to the serial run."""
         args = [
             "sweep", "ibmpg1",
             "--num-loads", "6", "--num-pads", "4",
             "--chunk-size", "7", "--top-k", "3",
         ]
-        threads_path = tmp_path / "threads.json"
-        process_path = tmp_path / "processes.json"
-        assert main(args + ["--executor", "threads", "--json-out", str(threads_path)]) == 0
+        serial_path = tmp_path / "serial.json"
+        hybrid_path = tmp_path / "hybrid.json"
+        assert main(args + ["--executor", "serial", "--json-out", str(serial_path)]) == 0
         assert (
             main(
                 args
                 + [
-                    "--executor", "processes", "--workers", "2",
-                    "--json-out", str(process_path),
+                    "--executor", "hybrid", "--shard-workers", "2",
+                    "--threads-per-shard", "1", "--json-out", str(hybrid_path),
                 ]
             )
             == 0
@@ -226,19 +225,25 @@ class TestSweep:
 
         import json
 
-        threads = json.loads(threads_path.read_text())
-        processes = json.loads(process_path.read_text())
-        assert threads["executor"] == "threads"
-        assert processes["executor"] == "processes"
-        assert processes["workers"] == 2
+        serial = json.loads(serial_path.read_text())
+        hybrid = json.loads(hybrid_path.read_text())
+        assert serial["executor"] == "serial"
+        assert hybrid["executor"] == "hybrid"
+        assert hybrid["workers"] == 2
+        assert hybrid["executor_stats"]["shards"] == 2
         volatile = (
-            "executor", "workers", "analysis_time_seconds", "scenarios_per_second",
-            "quantiles",  # P2 (threads) vs mergeable reservoir (processes)
+            "executor", "workers", "executor_stats", "analysis_time_seconds",
+            "scenarios_per_second",
         )
-        for record in (threads, processes):
+        for record in (serial, hybrid):
             for key in volatile:
                 record.pop(key)
-        assert threads == processes
+        assert serial == hybrid
+
+    def test_sweep_remote_needs_a_coordinator(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_REMOTE_COORDINATOR", raising=False)
+        assert main(["sweep", "ibmpg1", "--executor", "remote"]) == 2
+        assert "coordinator" in capsys.readouterr().err
 
     def test_sweep_with_workers_matches_sequential_record(self, tmp_path, capsys):
         """--workers changes throughput only: the JSON record's statistics
