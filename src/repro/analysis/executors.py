@@ -440,7 +440,8 @@ def require_mergeable_sinks(sinks: Sequence[ScenarioSink], shard_kind: str) -> N
     if non_mergeable:
         raise ExecutorIncompatibility(
             f"sinks {non_mergeable} cannot merge across {shard_kind} shards "
-            "(their state is order-dependent); implement MergeableSink "
+            "(their state is order-dependent); use mergeable sinks (e.g. "
+            "QuantileSketchSink for quantiles), implement MergeableSink "
             "(snapshot / merge) or run the sweep on one shard (workers=)"
         )
 

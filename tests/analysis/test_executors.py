@@ -270,6 +270,19 @@ class TestProcessShardedRejections:
                 executor=HybridExecutor(2, 1),
             )
 
+    def test_p2_rejected_with_pointer_to_sketch(self, ibmpg1_grid, load_sweep):
+        """An order-dependent sink (as a P² quantile estimator is) is
+        rejected with a pointer to the mergeable quantile sketch."""
+        engine = BatchedAnalysisEngine()
+        with pytest.raises(ExecutorIncompatibility, match="QuantileSketchSink"):
+            engine.analyze_batch(
+                ibmpg1_grid,
+                load_sweep,
+                chunk_size=7,
+                sinks=[OrderRecordingSink()],
+                executor=HybridExecutor(2, 1),
+            )
+
     def test_incompatibility_raised_before_sinks_bind(self, ibmpg1_grid, load_sweep):
         """Rejection must leave the sinks reusable (nothing observed)."""
         engine = BatchedAnalysisEngine()
@@ -570,6 +583,25 @@ class TestHybridEquivalence:
         assert_reductions_identical(sequential, hybrid)
         assert_exact_sinks_identical(seq_sinks, hybrid_sinks)
         assert hybrid.executor == "hybrid"
+
+    def test_p2_rejected_before_sinks_bind(self, ibmpg1_grid, load_sweep):
+        """Multi-shard hybrid sweeps reject an order-dependent sink before
+        it binds, so the sink stays reusable on one shard."""
+        engine = BatchedAnalysisEngine()
+        ordered = OrderRecordingSink()
+        with pytest.raises(ExecutorIncompatibility, match="hybrid"):
+            engine.analyze_batch(
+                ibmpg1_grid,
+                load_sweep,
+                chunk_size=7,
+                sinks=[ordered],
+                executor=HybridExecutor(shard_workers=2),
+            )
+        # The rejection left the sink unbound and reusable.
+        engine.analyze_batch(
+            ibmpg1_grid, load_sweep, chunk_size=7, sinks=[ordered], workers=1
+        )
+        assert ordered.result().shape == (load_sweep.shape[0],)
 
     def test_killed_shard_worker_breaks_the_sweep_without_leaking(
         self, ibmpg1_grid, load_sweep
