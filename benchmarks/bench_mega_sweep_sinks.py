@@ -7,13 +7,20 @@ cross product (:meth:`BatchedAnalysisEngine.analyze_mega_sweep`) at
 the quantile sketch, per-node histograms, exceedance counts, joint
 exceedance and a top-k shortlist — all in chunk-bounded memory: neither
 the dense ``(num_nodes, k)`` voltage matrix nor the ``(k, num_nodes)``
-scenario matrix is ever allocated (the cross product is generated per
-chunk).
+scenario matrix is ever allocated.  The sweep solves only the ``L + P``
+superposition basis columns (recorded as ``basis_columns``, with their
+largest relative residual as ``basis_residual``) and generates each
+chunk's drop rows as sums of basis rows.
 
-Before the timed run, the exact-reduction sinks (histogram, exceedance,
-top-k) and the streamed worst/mean reductions are verified **bitwise**
-against a dense single-shot reference on a cross-product subset small
-enough to materialise, and the quantile sketch is gated against its
+Before the timed run, on a cross-product subset small enough to
+materialise, the streamed worst/mean reductions and the exact-reduction
+sinks (histogram, exceedance, joint exceedance, top-k) are verified
+**bitwise** against a dense single-shot fold of the same superposed drop
+rows (``exact_sinks_match``), which proves the streaming exact.  The same
+rows are compared with a direct dense solve of every scenario
+(``analyze_pad_batch``): ``superposition_max_error_v`` is their largest
+difference over all nodes, pads included, gated ``<= 1e-12`` V by
+``check_results.py``.  The quantile sketch is gated against its
 documented relative error at the dense rank quantiles.
 
 After the timed sequential sweep, the same mega-sweep is re-run on both
@@ -122,15 +129,29 @@ def build_sinks(nominal_worst: float) -> dict:
     }
 
 
-def dense_reference(engine, grid, load_rows, pad_matrix, edges, threshold):
-    """Single-shot dense solve of a small cross product + numpy reductions."""
+SUPERPOSITION_TOLERANCE_V = 1e-12
+"""Documented bound of the superposed sweep against a direct solve."""
+
+
+def superposition_error(engine, grid, load_rows, pad_matrix, drop_rows) -> float:
+    """Largest |superposed drop - directly solved drop| over a small cross product."""
     num_pads = pad_matrix.shape[0]
     dense = engine.analyze_pad_batch(
         grid,
         np.tile(pad_matrix, (load_rows.shape[0], 1)),
         load_matrix=np.repeat(load_rows, num_pads, axis=0),
     )
-    drops = dense.compiled.vdd - dense.voltages
+    return float(np.max(np.abs(drop_rows - (dense.compiled.vdd - dense.voltages).T)))
+
+
+def dense_reference(drop_rows, edges, threshold):
+    """Single-shot numpy fold of a sweep's superposed drop rows, materialised.
+
+    The rows come from the same basis the sweep solves
+    (:meth:`BatchedAnalysisEngine.mega_sweep_basis`), so the streamed
+    reductions and exact sinks must equal this fold bitwise.
+    """
+    drops = np.ascontiguousarray(drop_rows.T)
     counts = np.empty((drops.shape[0], len(edges) - 1), dtype=np.int64)
     for node in range(drops.shape[0]):
         counts[node] = np.histogram(drops[node], bins=edges)[0]
@@ -209,8 +230,9 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     engine = BatchedAnalysisEngine()
     nominal = engine.analyze(grid)
 
-    # --- Exactness gate: streamed sinks vs a dense single-shot reference
-    # on a materialisable cross-product subset (loads-outer ordering).
+    # --- Exactness gate: streamed sinks vs a dense single-shot fold of the
+    # same superposed drop rows, on a materialisable cross-product subset
+    # (loads-outer ordering).
     ref_loads = max(1, min(num_loads, REFERENCE_SCENARIO_BUDGET // num_pads))
     ref_scenarios = ref_loads * num_pads
     ref_sinks = build_sinks(nominal.worst_ir_drop)
@@ -222,9 +244,10 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         sinks=tuple(ref_sinks.values()),
     )
     edges = ref_sinks["histogram"].edges
-    reference = dense_reference(
-        engine, grid, load_matrix[:ref_loads], pad_matrix, edges, nominal.worst_ir_drop
+    ref_rows = engine.mega_sweep_basis(grid, load_matrix[:ref_loads], pad_matrix).drop_rows(
+        0, ref_scenarios
     )
+    reference = dense_reference(ref_rows, edges, nominal.worst_ir_drop)
 
     assert np.array_equal(streamed_ref.worst_ir_drop, reference["worst"])
     assert np.array_equal(streamed_ref.average_ir_drop, reference["average"])
@@ -251,6 +274,12 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     )
     assert ref_sketch_error <= SKETCH_RELATIVE_ERROR
     exact_sinks_match = True
+    # --- Superposition gate: the same rows vs a direct solve of every
+    # scenario, pad nodes included.
+    superposition_max_error = superposition_error(
+        engine, grid, load_matrix[:ref_loads], pad_matrix, ref_rows
+    )
+    assert superposition_max_error <= SUPERPOSITION_TOLERANCE_V
 
     # --- Timed full mega-sweep, chunk-bounded memory, one factorization.
     sweep_engine = BatchedAnalysisEngine()
@@ -499,6 +528,8 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         "num_scenarios": result.num_scenarios,
         "chunk_size": CHUNK_SIZE,
         "factorizations": sweep_engine.cache_info().factorizations,
+        "basis_columns": result.basis_columns,
+        "basis_residual": result.basis_residual,
         "elapsed_seconds": result.analysis_time,
         "scenarios_per_second": result.scenarios_per_second,
         "cpu_count": os.cpu_count() or 1,
@@ -545,6 +576,8 @@ def test_mega_sweep_sinks(benchmark, results_dir):
             zip(map(str, QUANTILES), sketch_estimate.values.tolist())
         ),
         "exact_sinks_match": exact_sinks_match,
+        "superposition_max_error_v": superposition_max_error,
+        "superposition_tolerance_v": SUPERPOSITION_TOLERANCE_V,
         "reference_scenarios": ref_scenarios,
         "dense_voltage_bytes_avoided": dense_voltage_bytes,
         "chunk_working_set_bytes": chunk_bytes,
@@ -588,6 +621,9 @@ def test_mega_sweep_sinks(benchmark, results_dir):
                 "chunk MB working set": round(chunk_bytes / 1e6, 3),
                 "P99 worst drop (mV)": round(sketch_estimate.values[-1] * 1000.0, 3),
                 "exact sinks match": exact_sinks_match,
+                "superposition max error (V)": superposition_max_error,
+                "basis columns solved": result.basis_columns,
+                "basis relative residual": result.basis_residual,
             },
             title=f"streamed mega-sweep with sinks ({BENCHMARK})",
         )

@@ -71,6 +71,25 @@ def check_mega_sweep_sinks(record: dict) -> list[str]:
     problems = []
     if not record.get("exact_sinks_match", False):
         problems.append("streamed sinks did not match the dense reference bitwise")
+    if "superposition_max_error_v" not in record or "basis_columns" not in record:
+        problems.append(
+            "record lacks the superposition fields (superposition_max_error_v / "
+            "basis_columns) — produced by an older bench? re-run it"
+        )
+    else:
+        if not record["superposition_max_error_v"] <= 1e-12:
+            problems.append(
+                f"superposed sweep differs from the direct dense solve by "
+                f"{record['superposition_max_error_v']} V (bar: <= 1e-12 V)"
+            )
+        expected_columns = record.get("num_load_scenarios", 0) + record.get(
+            "num_pad_scenarios", 0
+        )
+        if record["basis_columns"] != expected_columns:
+            problems.append(
+                f"mega-sweep solved {record['basis_columns']} columns, expected "
+                f"{expected_columns} (loads + pads)"
+            )
     if record.get("factorizations", 1) != 1:
         problems.append(
             f"mega-sweep used {record.get('factorizations')} factorizations, expected 1"
@@ -275,6 +294,8 @@ SUMMARY_FIELDS = {
     "bench_planner_iteration.json": ("iteration_build_speedup",),
     "bench_mega_sweep_sinks.json": (
         "scenarios_per_second",
+        "basis_columns",
+        "superposition_max_error_v",
         "parallel_speedup",
         "process_speedup",
         "hybrid_speedup",

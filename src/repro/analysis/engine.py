@@ -220,6 +220,83 @@ class CrossProductScenarioSource:
         )
 
 
+BASIS_RESIDUAL_TOLERANCE = 1e-10
+"""Largest relative residual ``||A x - b|| / ||b||`` a direct solve of the
+mega-sweep basis may leave on any of its columns."""
+
+
+@dataclass(frozen=True)
+class LinearScenarioBasis:
+    """IR-drop tables of a load × pad cross product, built by superposition.
+
+    The reduced right-hand side is linear in (loads, pad voltages), so the
+    voltages of the scenario pairing load row ``l`` with pad row ``p`` are
+    ``X[:, l] + Y[:, p]``: ``X`` solves the load columns alone and ``Y``
+    the pad columns alone.  The basis keeps both halves as per-node
+    IR-drop rows, so scenario ``s`` (loads outer, pads inner) is
+    ``load_drops[s // P] + pad_drops[s % P]`` — one elementwise add per
+    value.  Every drop row, and everything reduced from it, therefore
+    holds the same bits whatever chunk or shard the scenario lands in.
+
+    It is the picklable source a sharded mega-sweep ships to its workers:
+    they combine rows and never solve.
+
+    Attributes:
+        load_drops: ``(L, num_nodes)`` IR drop each load row causes on its
+            own (zero on pad nodes).
+        pad_drops: ``(P, num_nodes)`` IR drop of each pad row with no
+            load: ``vdd - Y`` on the unknowns and ``vdd - pad voltage`` on
+            the pad nodes.
+        load_iterations: ``(L,)`` solver iterations of each load column
+            (all zero on the direct path).
+        pad_iterations: ``(P,)`` solver iterations of each pad column.
+        residual: Largest relative residual ``||A x - b|| / ||b||`` over
+            the ``L + P`` solved columns.
+    """
+
+    load_drops: np.ndarray
+    pad_drops: np.ndarray
+    load_iterations: np.ndarray
+    pad_iterations: np.ndarray
+    residual: float = 0.0
+
+    @property
+    def num_scenarios(self) -> int:
+        """Number of (load row, pad row) pairs the basis spans."""
+        return self.load_drops.shape[0] * self.pad_drops.shape[0]
+
+    @property
+    def num_columns(self) -> int:
+        """Number of solved basis columns, ``L + P``."""
+        return self.load_drops.shape[0] + self.pad_drops.shape[0]
+
+    def drop_rows(self, begin: int, end: int) -> np.ndarray:
+        """Contiguous ``(end - begin, num_nodes)`` IR-drop rows of ``[begin, end)``."""
+        num_pad_rows = self.pad_drops.shape[0]
+        rows = np.empty((end - begin, self.pad_drops.shape[1]), dtype=float)
+        scenario = begin
+        while scenario < end:
+            # One load row pairs with a run of consecutive pad rows.
+            load_row, pad_row = divmod(scenario, num_pad_rows)
+            stop = min(end, (load_row + 1) * num_pad_rows)
+            np.add(
+                self.load_drops[load_row],
+                self.pad_drops[pad_row : pad_row + stop - scenario],
+                out=rows[scenario - begin : stop - begin],
+            )
+            scenario = stop
+        return rows
+
+    def iterations(self, begin: int, end: int) -> np.ndarray:
+        """Per-scenario solver iterations of ``[begin, end)``: load + pad column."""
+        indices = np.arange(begin, end)
+        num_pad_rows = self.pad_drops.shape[0]
+        return (
+            self.load_iterations[indices // num_pad_rows]
+            + self.pad_iterations[indices % num_pad_rows]
+        )
+
+
 @dataclass(frozen=True)
 class EngineCacheInfo:
     """Counters describing the engine's factorization cache behaviour.
@@ -269,7 +346,8 @@ def _column_reductions(ir_drop: np.ndarray) -> "BatchReductions":
 
 def _feed_sinks(
     sinks: Sequence[ScenarioSink],
-    voltages: np.ndarray,
+    compiled: CompiledGrid,
+    voltages: np.ndarray | None,
     drop_rows: np.ndarray,
     scenario_offset: int,
 ) -> None:
@@ -278,12 +356,15 @@ def _feed_sinks(
     :class:`~repro.analysis.sinks.IRDropSink` subclasses take the
     precomputed contiguous ``(c, num_nodes)`` IR-drop block the engine
     already derived for its reductions; other protocol implementations get
-    the raw voltage chunk.
+    the voltage chunk — ``vdd - drop_rows.T`` for superposed chunks, which
+    carry no voltages (``voltages`` is ``None``).
     """
     for sink in sinks:
         if isinstance(sink, IRDropSink):
             sink.consume_drop_rows(drop_rows, scenario_offset)
         else:
+            if voltages is None:
+                voltages = compiled.vdd - drop_rows.T
             sink.consume(voltages, scenario_offset)
 
 
@@ -432,18 +513,20 @@ class StreamedSweepResult:
     """Outcome of a chunk-streamed sweep that never held dense voltages.
 
     Streamed sweeps (:meth:`BatchedAnalysisEngine.analyze_scenario_stream`,
-    :meth:`BatchedAnalysisEngine.analyze_mega_sweep`) solve scenarios in
-    RHS chunks and keep only the per-scenario reductions plus whatever the
+    :meth:`BatchedAnalysisEngine.analyze_mega_sweep`) produce scenarios in
+    chunks and keep only the per-scenario reductions plus whatever the
     attached :class:`~repro.analysis.sinks.ScenarioSink` objects
-    accumulated — the memory high-water mark is ``O(num_nodes *
-    chunk_size)`` regardless of sweep size.
+    accumulated — the chunk working set is ``O(num_nodes * chunk_size)``
+    regardless of sweep size (a mega-sweep adds its ``(L + P) ×
+    num_nodes`` basis tables).
 
     Attributes:
         compiled: The compiled grid every scenario was solved on.
         num_scenarios: Number of scenarios streamed.
-        chunk_size: RHS chunk width used for the solve.
+        chunk_size: Chunk width of the stream (RHS columns per solve for
+            a direct-solve sweep, drop rows per chunk for a mega-sweep).
         reductions: Per-scenario worst / mean / worst-node reductions,
-            bitwise-identical to an unsharded solve of the same scenarios.
+            computed over each scenario's contiguous drop row.
         sinks: The scenario sinks that observed the sweep, in order.
         analysis_time: Wall-clock time of the whole sweep in seconds.
         factorization_reused: True if at least one chunk was served from
@@ -512,10 +595,16 @@ class MegaSweepResult(StreamedSweepResult):
     Attributes:
         num_load_scenarios: Number of rows of the load matrix swept.
         num_pad_scenarios: Number of rows of the pad-voltage matrix swept.
+        basis_columns: Columns the sweep solved: ``num_load_scenarios +
+            num_pad_scenarios`` (see :class:`LinearScenarioBasis`).
+        basis_residual: Largest relative residual ``||A x - b|| / ||b||``
+            over those columns.
     """
 
     num_load_scenarios: int = 0
     num_pad_scenarios: int = 0
+    basis_columns: int = 0
+    basis_residual: float = 0.0
 
     def scenario_pair(self, scenario: int) -> tuple[int, int]:
         """Map a global scenario index to its (load row, pad row) pair."""
@@ -838,7 +927,7 @@ class BatchedAnalysisEngine:
     def _stream_scenarios(
         self,
         compiled: CompiledGrid,
-        scenario_source: ScenarioSource,
+        scenario_source: ScenarioSource | LinearScenarioBasis,
         num_scenarios: int,
         chunk_size: int,
         sinks: Sequence[ScenarioSink],
@@ -887,11 +976,12 @@ class BatchedAnalysisEngine:
     def _run_chunk_pipeline(
         self,
         compiled: CompiledGrid,
-        scenario_source: ScenarioSource,
+        scenario_source: ScenarioSource | LinearScenarioBasis,
         num_scenarios: int,
         chunk_size: int,
         sinks: Sequence[ScenarioSink],
         workers: int = 1,
+        offset: int = 0,
     ) -> tuple[BatchReductions, bool, np.ndarray]:
         """Solve a sweep chunk by chunk, feeding reductions and sinks.
 
@@ -901,6 +991,12 @@ class BatchedAnalysisEngine:
         ``(num_nodes, num_scenarios)`` voltage matrix never exists: each
         ``(num_nodes, ≤chunk_size)`` chunk is folded into the per-scenario
         reduction vectors and every attached sink, then dropped.
+
+        The pipeline covers source scenarios ``[offset, offset +
+        num_scenarios)``; reductions and sinks see them at local indices
+        from 0, which is how a shard runs its sub-range as its own sweep.
+        A :class:`LinearScenarioBasis` source is already solved: its
+        chunks are combined drop rows, with no RHS and no solve.
 
         With ``workers > 1`` the chunk solves run on a thread pool while
         this thread keeps three sequential roles: it *produces* chunks (the
@@ -923,29 +1019,45 @@ class BatchedAnalysisEngine:
         iterations = np.zeros(num_scenarios, dtype=np.int64)
         reused = False
 
-        def produce(begin: int, end: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-            load_chunk, pad_chunk = scenario_source(begin, end)
-            self._validate_source_chunk(compiled, load_chunk, pad_chunk, begin, end)
-            return load_chunk, pad_chunk
+        # Both solve functions return (voltages or None, drop rows,
+        # reductions, iterations, reused).  The chunk-local reductions are
+        # deterministic, so computing them there keeps them on the worker
+        # pool instead of adding to the fold thread's serial work.
+        if isinstance(scenario_source, LinearScenarioBasis):
+            basis = scenario_source
 
-        def solve_chunk(
-            load_chunk: np.ndarray | None, pad_chunk: np.ndarray | None
-        ) -> tuple[np.ndarray, np.ndarray, BatchReductions, np.ndarray, bool]:
-            pad_vectors = None if pad_chunk is None else compiled.pad_voltage_vectors(pad_chunk)
-            rhs = compiled.rhs_matrix(load_chunk, pad_chunk)
-            unknown, chunk_reused, chunk_iterations = self._solve_rhs_block(compiled, rhs)
-            voltages = compiled.full_voltages(unknown, pad_voltage_vectors=pad_vectors)
-            drop_rows = np.ascontiguousarray((compiled.vdd - voltages).T)
-            # The chunk-local reductions are deterministic, so computing
-            # them here keeps them on the worker pool instead of adding to
-            # the fold thread's serial work.
-            return voltages, drop_rows, _row_reductions(drop_rows), chunk_iterations, chunk_reused
+            def produce(begin: int, end: int) -> tuple:
+                return offset + begin, offset + end
 
-        def fold(
-            begin: int,
-            end: int,
-            solved: tuple[np.ndarray, np.ndarray, BatchReductions, np.ndarray, bool],
-        ) -> None:
+            def solve_chunk(job: tuple) -> tuple:
+                drop_rows = basis.drop_rows(*job)
+                return None, drop_rows, _row_reductions(drop_rows), basis.iterations(*job), False
+
+        else:
+            source = scenario_source
+
+            def produce(begin: int, end: int) -> tuple:
+                load_chunk, pad_chunk = source(offset + begin, offset + end)
+                self._validate_source_chunk(
+                    compiled, load_chunk, pad_chunk, offset + begin, offset + end
+                )
+                return load_chunk, pad_chunk
+
+            def solve_chunk(job: tuple) -> tuple:
+                load_chunk, pad_chunk = job
+                pad_vectors = (
+                    None if pad_chunk is None else compiled.pad_voltage_vectors(pad_chunk)
+                )
+                rhs = compiled.rhs_matrix(load_chunk, pad_chunk)
+                unknown, chunk_reused, chunk_iterations = self._solve_rhs_block(compiled, rhs)
+                voltages = compiled.full_voltages(unknown, pad_voltage_vectors=pad_vectors)
+                drop_rows = np.ascontiguousarray((compiled.vdd - voltages).T)
+                return (
+                    voltages, drop_rows, _row_reductions(drop_rows), chunk_iterations,
+                    chunk_reused,
+                )
+
+        def fold(begin: int, end: int, solved: tuple) -> None:
             nonlocal reused
             voltages, drop_rows, chunk_reductions, chunk_iterations, chunk_reused = solved
             reused = reused or chunk_reused
@@ -953,7 +1065,7 @@ class BatchedAnalysisEngine:
             average[begin:end] = chunk_reductions.average_ir_drop
             worst_index[begin:end] = chunk_reductions.worst_node_index
             iterations[begin:end] = chunk_iterations
-            _feed_sinks(sinks, voltages, drop_rows, begin)
+            _feed_sinks(sinks, compiled, voltages, drop_rows, begin)
 
         ranges = [
             (begin, min(begin + chunk_size, num_scenarios))
@@ -961,7 +1073,7 @@ class BatchedAnalysisEngine:
         ]
         if workers <= 1 or len(ranges) <= 1:
             for begin, end in ranges:
-                fold(begin, end, solve_chunk(*produce(begin, end)))
+                fold(begin, end, solve_chunk(produce(begin, end)))
         else:
             # Warm the lazily-built shared state (reduced matrix, pad RHS /
             # incidence) from this thread so workers only ever read it.
@@ -976,10 +1088,7 @@ class BatchedAnalysisEngine:
                     while len(in_flight) >= workers:
                         oldest_begin, oldest_end, future = in_flight.popleft()
                         fold(oldest_begin, oldest_end, future.result())
-                    load_chunk, pad_chunk = produce(begin, end)
-                    in_flight.append(
-                        (begin, end, pool.submit(solve_chunk, load_chunk, pad_chunk))
-                    )
+                    in_flight.append((begin, end, pool.submit(solve_chunk, produce(begin, end))))
                 while in_flight:
                     oldest_begin, oldest_end, future = in_flight.popleft()
                     fold(oldest_begin, oldest_end, future.result())
@@ -1023,7 +1132,7 @@ class BatchedAnalysisEngine:
             voltages = compiled.full_voltages(unknown, pad_voltage_vectors=pad_vectors)
             if sinks:
                 drop_rows = np.ascontiguousarray((compiled.vdd - voltages).T)
-                _feed_sinks(sinks, voltages, drop_rows, 0)
+                _feed_sinks(sinks, compiled, voltages, drop_rows, 0)
             return voltages, None, reused, iterations
 
         source = MatrixScenarioSource(load_matrix, pad_voltage_matrix)
@@ -1256,55 +1365,13 @@ class BatchedAnalysisEngine:
             solver_iterations=iterations,
         )
 
-    def analyze_mega_sweep(
+    def _mega_sweep_inputs(
         self,
-        network: PowerGridNetwork | CompiledGrid,
+        compiled: CompiledGrid,
         load_matrix: np.ndarray,
         pad_voltage_matrix: np.ndarray,
-        *,
-        chunk_size: int | None = None,
-        sinks: Sequence[ScenarioSink] = (),
-        workers: int | None = None,
-        executor: SweepExecutor | str | None = None,
-    ) -> MegaSweepResult:
-        """Sweep the full load × pad-voltage cross product, streamed.
-
-        Every combination of a load row and a pad-voltage row becomes one
-        scenario (``num_load_scenarios * num_pad_scenarios`` in total,
-        loads outer, pads inner), solved against a single cached
-        factorization.  The combined scenario set is never materialised:
-        each chunk gathers its load / pad rows by index, so a
-        ``400 × 256 = 102 400``-scenario mega-sweep costs the memory of
-        one chunk plus the two input matrices.  This is the vectorless-
-        style workload entry point: pair it with quantile / histogram /
-        exceedance / top-k sinks to characterise the whole operating
-        envelope in one pass.
-
-        Args:
-            network: The grid (or its compiled form) all scenarios share.
-            load_matrix: ``(num_load_scenarios, num_nodes)`` per-node
-                currents in compiled node order (e.g. from
-                :func:`~repro.grid.perturbation.floorplan_perturbed_load_matrix`).
-            pad_voltage_matrix: ``(num_pad_scenarios, num_pads)`` per-pad
-                voltages aligned with the compiled ``pad_names`` (e.g.
-                from
-                :func:`~repro.grid.perturbation.perturbed_pad_voltage_matrix`).
-            chunk_size: RHS chunk width bounding the working memory
-                (``None`` = adaptive, see :func:`resolve_chunk_size`).
-            sinks: Scenario sinks to stream every solved chunk into.
-            workers: Solver threads for the chunk solves (see
-                :meth:`analyze_scenario_stream`); bitwise-identical
-                results, ~``workers``× throughput on a multi-core host.
-            executor: Sweep-execution strategy (see :meth:`analyze_batch`);
-                ``"hybrid"`` shards the cross product across worker
-                processes and merges the mergeable sinks.
-
-        Returns:
-            A :class:`MegaSweepResult` over all combined scenarios.
-        """
-        start = time.perf_counter()
-        compiled = self._compiled(network)
-        executor_used, lenient = self._sweep_executor(workers, executor)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validate the two input matrices of a cross-product sweep."""
         load_matrix = np.asarray(load_matrix, dtype=float)
         if load_matrix.ndim != 2 or load_matrix.shape[1] != compiled.num_nodes:
             raise ValueError(
@@ -1318,21 +1385,162 @@ class BatchedAnalysisEngine:
                 f"pad_voltage_matrix must be 2-D (num_pad_scenarios, {num_pads}), "
                 f"got shape {pad_voltage_matrix.shape}"
             )
-        num_loads, num_pad_rows = load_matrix.shape[0], pad_voltage_matrix.shape[0]
-        if num_loads == 0 or num_pad_rows == 0:
+        if load_matrix.shape[0] == 0 or pad_voltage_matrix.shape[0] == 0:
             raise ValueError("both matrices must contain at least one scenario row")
+        return load_matrix, pad_voltage_matrix
 
+    def _solve_basis(
+        self,
+        compiled: CompiledGrid,
+        load_matrix: np.ndarray,
+        pad_voltage_matrix: np.ndarray,
+    ) -> tuple[LinearScenarioBasis, bool]:
+        """Solve the ``L + P`` basis columns as one block; see :meth:`mega_sweep_basis`.
+
+        Returns the basis and whether a cached factorization served it.
+        """
+        num_loads = load_matrix.shape[0]
+        pad_vectors = compiled.pad_voltage_vectors(pad_voltage_matrix)
+        # Load columns solve for the drop the loads cause (A d = loads), pad
+        # columns for the voltages the pads hold up with no load.
+        rhs = np.empty((compiled.num_unknowns, num_loads + pad_vectors.shape[0]))
+        rhs[:, :num_loads] = load_matrix[:, compiled.unknown_sel].T
+        rhs[:, num_loads:] = compiled.pad_incidence @ pad_vectors.T
+        unknown, reused, iterations = self._solve_rhs_block(compiled, rhs)
+        rhs_norms = np.linalg.norm(rhs, axis=0)
+        residuals = np.linalg.norm(compiled.reduced_matrix @ unknown - rhs, axis=0)
+        relative = residuals / np.where(rhs_norms > 0, rhs_norms, 1.0)
+        residual = float(relative.max()) if relative.size else 0.0
+        if not self._use_cg(compiled) and not residual <= BASIS_RESIDUAL_TOLERANCE:
+            # CG enforces its own CG_TOLERANCE column by column.
+            raise LinearSolverError(
+                f"mega-sweep basis solve left a relative residual of {residual:.3e} "
+                f"> {BASIS_RESIDUAL_TOLERANCE:g}"
+            )
+
+        vdd = compiled.vdd
+        unknown_sel = compiled.unknown_sel
+        pad_sel = compiled.pad_node
+        load_drops = np.zeros((num_loads, compiled.num_nodes))
+        load_drops[:, unknown_sel] = unknown[:, :num_loads].T
+        pad_drops = np.empty_like(pad_vectors)
+        pad_drops[:, unknown_sel] = vdd - unknown[:, num_loads:].T
+        pad_drops[:, pad_sel] = vdd - pad_vectors[:, pad_sel]
+        basis = LinearScenarioBasis(
+            load_drops=load_drops,
+            pad_drops=pad_drops,
+            load_iterations=iterations[:num_loads],
+            pad_iterations=iterations[num_loads:],
+            residual=residual,
+        )
+        return basis, reused
+
+    def mega_sweep_basis(
+        self,
+        network: PowerGridNetwork | CompiledGrid,
+        load_matrix: np.ndarray,
+        pad_voltage_matrix: np.ndarray,
+    ) -> LinearScenarioBasis:
+        """Solve the superposition basis of a load × pad cross product.
+
+        One multi-RHS block of ``L + P`` columns against the cached
+        factorization (per-column CG past ``direct_size_limit``): the
+        ``L`` load rows on their own and the ``P`` pad-voltage rows with
+        no load.  The block must be finite, and on the direct path every
+        column's relative residual must be at most
+        :data:`BASIS_RESIDUAL_TOLERANCE`; either failure raises
+        :class:`~repro.analysis.solvers.LinearSolverError`.
+
+        :meth:`analyze_mega_sweep` sweeps exactly this basis, so the rows
+        it returns hold the bits the sweep folded — the top-k replay
+        (:meth:`~repro.analysis.sinks.TopKScenarioSink.rematerialize`)
+        relies on that.
+
+        Args:
+            network: The grid (or its compiled form).
+            load_matrix: ``(L, num_nodes)`` per-node currents.
+            pad_voltage_matrix: ``(P, num_pads)`` per-pad voltages.
+        """
+        compiled = self._compiled(network)
+        load_matrix, pad_voltage_matrix = self._mega_sweep_inputs(
+            compiled, load_matrix, pad_voltage_matrix
+        )
+        return self._solve_basis(compiled, load_matrix, pad_voltage_matrix)[0]
+
+    def analyze_mega_sweep(
+        self,
+        network: PowerGridNetwork | CompiledGrid,
+        load_matrix: np.ndarray,
+        pad_voltage_matrix: np.ndarray,
+        *,
+        chunk_size: int | None = None,
+        sinks: Sequence[ScenarioSink] = (),
+        workers: int | None = None,
+        executor: SweepExecutor | str | None = None,
+    ) -> MegaSweepResult:
+        """Sweep the full load × pad-voltage cross product by superposition.
+
+        Every combination of a load row and a pad-voltage row becomes one
+        scenario (``L * P`` in total, loads outer, pads inner).  The
+        right-hand side is linear in (loads, pads), so the sweep solves
+        only ``L + P`` columns — one block against a single cached
+        factorization (:meth:`mega_sweep_basis`) — and streams scenario
+        ``s`` as the drop row ``load_drops[s // P] + pad_drops[s % P]``,
+        pad nodes included, through the reductions and sinks chunk by
+        chunk.  The combined scenario set is never materialised: memory
+        is the two ``(L + P) × num_nodes`` basis tables plus one chunk of
+        drop rows per chunk in flight.
+
+        Each value is one elementwise add, so the reductions and every
+        sink are bitwise-identical for every chunk size, executor, shard
+        split and thread count.  Against a direct solve of each scenario
+        (:meth:`analyze_pad_batch`) they agree within 1e-12 V — the sums
+        round differently.  This is the vectorless-style workload entry
+        point: pair it with quantile / histogram / exceedance / top-k
+        sinks to characterise the whole operating envelope in one pass.
+
+        Args:
+            network: The grid (or its compiled form) all scenarios share.
+            load_matrix: ``(num_load_scenarios, num_nodes)`` per-node
+                currents in compiled node order (e.g. from
+                :func:`~repro.grid.perturbation.floorplan_perturbed_load_matrix`).
+            pad_voltage_matrix: ``(num_pad_scenarios, num_pads)`` per-pad
+                voltages aligned with the compiled ``pad_names`` (e.g.
+                from
+                :func:`~repro.grid.perturbation.perturbed_pad_voltage_matrix`).
+            chunk_size: Drop-row chunk width bounding the working memory
+                (``None`` = adaptive, see :func:`resolve_chunk_size`).
+            sinks: Scenario sinks to stream every chunk into.
+            workers: Threads combining and reducing chunks (see
+                :meth:`analyze_scenario_stream`).
+            executor: Sweep-execution strategy (see :meth:`analyze_batch`);
+                ``"hybrid"`` shards the cross product across worker
+                processes, which receive the basis tables and solve
+                nothing, and merges the mergeable sinks.
+
+        Returns:
+            A :class:`MegaSweepResult` over all combined scenarios; each
+            scenario's ``solver_iterations`` is its load column's count
+            plus its pad column's count.
+        """
+        start = time.perf_counter()
+        compiled = self._compiled(network)
+        executor_used, lenient = self._sweep_executor(workers, executor)
+        load_matrix, pad_voltage_matrix = self._mega_sweep_inputs(
+            compiled, load_matrix, pad_voltage_matrix
+        )
         if chunk_size is None:
             chunk_size = resolve_chunk_size(compiled.num_unknowns, executor_used.parallelism)
-        cross_source = CrossProductScenarioSource(load_matrix, pad_voltage_matrix)
-        num_scenarios = num_loads * num_pad_rows
-        reductions, reused, iterations, executor_used = self._stream_scenarios(
-            compiled, cross_source, num_scenarios, chunk_size, sinks, executor_used, lenient,
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be at least 1")
+        basis, reused = self._solve_basis(compiled, load_matrix, pad_voltage_matrix)
+        reductions, _, iterations, executor_used = self._stream_scenarios(
+            compiled, basis, basis.num_scenarios, chunk_size, sinks, executor_used, lenient,
             "analyze_mega_sweep",
         )
         return MegaSweepResult(
             compiled=compiled,
-            num_scenarios=num_scenarios,
+            num_scenarios=basis.num_scenarios,
             chunk_size=chunk_size,
             reductions=reductions,
             sinks=tuple(sinks),
@@ -1342,6 +1550,8 @@ class BatchedAnalysisEngine:
             executor=executor_used.name,
             solver_method=self.solver_method(compiled),
             solver_iterations=iterations,
-            num_load_scenarios=num_loads,
-            num_pad_scenarios=num_pad_rows,
+            num_load_scenarios=load_matrix.shape[0],
+            num_pad_scenarios=pad_voltage_matrix.shape[0],
+            basis_columns=basis.num_columns,
+            basis_residual=basis.residual,
         )

@@ -37,15 +37,16 @@ Zero-copy payloads
 Process shards do not re-pickle the grid into every worker:
 :class:`SharedGridPayload` pickles the sweep context once with
 out-of-band buffers (pickle protocol 5) and places the buffer bytes —
-the compiled grid's CSR/COO arrays and the scenario matrices — into a
-single :mod:`multiprocessing.shared_memory` segment.  Workers re-attach
-the segment by name and rebuild the context as views over the mapping,
-so a 100 MB grid costs one copy for any number of shards.  Lifetime is
-explicit: the parent owns the segment and unlinks it when the sweep
-leaves the ``with`` block (success *or* error); children only attach.
-Where shared memory is unavailable the payload silently degrades to the
-classic in-band pickle with a :class:`RuntimeWarning` naming the
-executor — results are identical either way.
+the compiled grid's CSR/COO arrays and the scenario matrices or basis
+tables — into a single :mod:`multiprocessing.shared_memory` segment.
+Workers re-attach the segment by name and rebuild the context as views
+over the mapping, so a 100 MB grid costs one copy for any number of
+shards.  Lifetime is explicit: the parent owns the segment and unlinks
+it when the sweep leaves the ``with`` block (success *or* error);
+children only attach.  Where shared memory is unavailable the payload
+silently degrades to the classic in-band pickle with a
+:class:`RuntimeWarning` naming the executor — results are identical
+either way.
 
 Process-sharding contract
 -------------------------
@@ -63,10 +64,30 @@ an entire test suite process-sharded wherever that is well-defined.  A
 single-shard sweep pickles nothing and folds in order, so it accepts any
 source and any sink, order-dependent ones included.
 
-Exactness: shard boundaries are just another chunking, so the streamed
-worst / mean / worst-node reductions and every mergeable sink
-(histogram, exceedance, joint exceedance, top-k and the quantile sketch)
-are bitwise-identical to the sequential sweep for every shard count.
+Exactness
+---------
+
+Shard boundaries are just another chunking, so what an executor can
+promise is what the chunk pipeline promises for the scenarios it is
+handed:
+
+* **Mega-sweeps** (:meth:`~repro.analysis.engine.BatchedAnalysisEngine.analyze_mega_sweep`)
+  are bitwise-identical across every ``(shards, threads, chunk_size)``
+  by construction.  Their source is the solved
+  :class:`~repro.analysis.engine.LinearScenarioBasis`: every drop value is
+  one elementwise add of two basis rows, so the worst / mean / worst-node
+  reductions and every mergeable sink (histogram, exceedance, joint
+  exceedance, top-k and the quantile sketch) hold the same bits wherever
+  a scenario lands.  Shards never solve.
+* **Direct-solve sweeps** (``analyze_batch`` / ``analyze_pad_batch`` /
+  ``analyze_scenario_stream`` with ``chunk_size``) solve each chunk as one
+  RHS block, and the triangular solve rounds differently with the block
+  width.  They are bitwise-identical only where every scenario is solved
+  in a block of the same width at the same position: the thread axis at
+  the same ``chunk_size`` always is; process shards and rebalanced tail
+  pieces start at their own offsets, so they can differ from serial in
+  the last bit.  Cutting every executor's work on one global chunk grid
+  would close that gap.
 """
 
 from __future__ import annotations
@@ -88,7 +109,12 @@ from .sinks import MergeableSink, ScenarioSink
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..grid.compiled import CompiledGrid
-    from .engine import BatchedAnalysisEngine, BatchReductions, ScenarioSource
+    from .engine import (
+        BatchedAnalysisEngine,
+        BatchReductions,
+        LinearScenarioBasis,
+        ScenarioSource,
+    )
 
 EXECUTOR_ENV = "REPRO_TEST_EXECUTOR"
 """Environment variable supplying the engine's default sweep executor.
@@ -145,7 +171,9 @@ class SweepPlan:
         compiled: The compiled grid every scenario is solved on.
         scenario_source: Chunk generator; a pure function of the half-open
             scenario range (see
-            :data:`~repro.analysis.engine.ScenarioSource`).
+            :data:`~repro.analysis.engine.ScenarioSource`), or the solved
+            :class:`~repro.analysis.engine.LinearScenarioBasis` of a
+            mega-sweep, whose chunks need no solve.
         num_scenarios: Total number of scenarios to sweep.
         chunk_size: RHS chunk width of the solve pipeline.
         sinks: Scenario sinks observing the sweep, in caller order.
@@ -153,7 +181,7 @@ class SweepPlan:
 
     engine: "BatchedAnalysisEngine"
     compiled: "CompiledGrid"
-    scenario_source: "ScenarioSource"
+    scenario_source: "ScenarioSource | LinearScenarioBasis"
     num_scenarios: int
     chunk_size: int
     sinks: tuple[ScenarioSink, ...]
@@ -221,11 +249,16 @@ class HybridExecutor(SweepExecutor):
     threaded pipeline; ``HybridExecutor(n, 1)`` is plain process
     sharding.
 
-    Exactness is inherited twice over: the threaded pipeline is
-    bitwise-identical to serial within each shard, and shard snapshots
-    merge in ascending range order — so every result, including every
-    mergeable sink, is bitwise-identical to :class:`SerialExecutor` for
-    every ``(shards, threads, chunk_size)`` combination.
+    Exactness: the threaded pipeline folds in scenario order and shard
+    snapshots merge in ascending range order.  A mega-sweep's chunks are
+    sums of rows of a basis the parent solved once, so its results,
+    every mergeable sink included, are bitwise-identical to
+    :class:`SerialExecutor` for every ``(shards, threads, chunk_size)``
+    combination.  A direct-solve sweep solves each chunk as one RHS
+    block and the solve rounds with the block width: it matches serial
+    bitwise on the thread axis at the same ``chunk_size``, while process
+    shards and tail pieces cut blocks at their own offsets and may differ
+    in the last bit (see the module docstring).
 
     Cost-based auto-balancing: only about half the range is committed
     up-front (one task per shard worker).  The first task to complete
@@ -238,10 +271,11 @@ class HybridExecutor(SweepExecutor):
     never affects results.
 
     The grid ships to the workers through a :class:`SharedGridPayload` —
-    one shared-memory copy of the compiled arrays for any number of
-    shards (pickle fallback where shared memory is unavailable).  The
-    parent engine also warms its own factorization cache (direct path
-    only), so follow-up single solves — e.g.
+    one shared-memory copy of the compiled arrays and the scenario source
+    (a mega-sweep's basis tables: ``(L + P) × num_nodes`` doubles) for
+    any number of shards (pickle fallback where shared memory is
+    unavailable).  The parent engine also warms its own factorization
+    cache (direct path only), so follow-up single solves — e.g.
     :meth:`~repro.analysis.sinks.TopKScenarioSink.rematerialize` — reuse
     it, and the usual one-factorization-per-sweep accounting holds.
 
@@ -669,26 +703,22 @@ def solve_shard_range(state: dict, begin: int, end: int) -> tuple:
     """Run the chunk pipeline over ``[begin, end)`` of one sweep.
 
     The shard runs as its own sweep of ``end - begin`` scenarios: the
-    source is shifted by ``begin`` and fresh sink copies observe
+    source is read from ``begin`` on and fresh sink copies observe
     shard-local offsets — :meth:`MergeableSink.merge` re-bases any
     indices when the parent folds the snapshots back together.  The
     pipeline runs at the payload's ``threads`` count (1 = serial) — the
     threaded pipeline is bitwise-identical to serial, so the shard result
     does not depend on it.
     """
-    source = state["source"]
     sinks: Sequence[ScenarioSink] = copy.deepcopy(state["sink_prototypes"])
-
-    def shard_source(lo: int, hi: int) -> "tuple[np.ndarray | None, np.ndarray | None]":
-        return source(begin + lo, begin + hi)
-
     reductions, reused, iterations = state["engine"]._run_chunk_pipeline(
         state["compiled"],
-        shard_source,
+        state["source"],
         end - begin,
         state["chunk_size"],
         sinks,
         workers=state["threads"],
+        offset=begin,
     )
     return (
         begin,

@@ -67,7 +67,45 @@ class IRDropResult:
             solver_iterations: Iterations of that solver (0 for direct).
             name: Result name; the grid's own name when omitted.
         """
-        drops = compiled.vdd - voltages
+        return cls.from_drops(
+            compiled,
+            compiled.vdd - voltages,
+            voltages=voltages,
+            analysis_time=analysis_time,
+            solver_method=solver_method,
+            solver_iterations=solver_iterations,
+            name=name,
+        )
+
+    @classmethod
+    def from_drops(
+        cls,
+        compiled: CompiledGrid,
+        drops: np.ndarray,
+        *,
+        analysis_time: float,
+        solver_method: str,
+        solver_iterations: int = 0,
+        name: str | None = None,
+        voltages: np.ndarray | None = None,
+    ) -> IRDropResult:
+        """Build the result from per-node IR drops in compiled node order.
+
+        The drops are kept as given, so the worst and mean drop are the
+        ones a sweep reduced from the same row.
+
+        Args:
+            compiled: The solved grid.
+            drops: ``(num_nodes,)`` IR drops ``vdd - v``.
+            analysis_time: Wall-clock time of the solve in seconds.
+            solver_method: Linear solver that produced the drops.
+            solver_iterations: Iterations of that solver (0 for direct).
+            name: Result name; the grid's own name when omitted.
+            voltages: The node voltages, when known; ``vdd - drops``
+                otherwise.
+        """
+        if voltages is None:
+            voltages = compiled.vdd - drops
         worst = int(drops.argmax()) if drops.size else 0
         return cls(
             network_name=compiled.name if name is None else name,

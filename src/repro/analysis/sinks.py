@@ -39,6 +39,7 @@ on one shard, where the fold stays in scenario order.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -47,11 +48,15 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..grid.compiled import CompiledGrid
     from ..grid.network import PowerGridNetwork
-    from .engine import BatchedAnalysisEngine, ScenarioSource
+    from .engine import BatchedAnalysisEngine, CrossProductScenarioSource, ScenarioSource
     from .irdrop import IRDropResult
 
 _SCENARIO_STATISTICS = ("worst", "mean")
 """Per-scenario scalar statistics :class:`QuantileSketchSink` can track."""
+
+_HISTOGRAM_BLOCK_VALUES = 1 << 16
+"""Drop values :class:`NodeHistogramSink` bins per block of rows, so its
+slot and mask temporaries stay cache-sized."""
 
 
 @runtime_checkable
@@ -503,12 +508,17 @@ class NodeHistogramSink(IRDropSink):
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("edges must be a 1-D array of at least two bin edges")
-        if np.any(np.diff(edges) <= 0):
+        if not np.all(np.diff(edges) > 0):  # NaN edges fail too
             raise ValueError("edges must be strictly ascending")
         self.edges = edges
-        self._counts: np.ndarray | None = None
-        self._underflow: np.ndarray | None = None
-        self._overflow: np.ndarray | None = None
+        # searchsorted(side="right") against these edges maps a drop straight
+        # to its slot: 0 below edges[0], i + 1 in bin i, num_bins + 1 above
+        # edges[-1].  Raising the last edge by one ulp closes the last bin
+        # on the right, as numpy.histogram does.
+        self._slot_edges = edges.copy()
+        self._slot_edges[-1] = np.nextafter(edges[-1], np.inf)
+        self._slots: np.ndarray | None = None
+        self._node_base: np.ndarray | None = None
 
     @classmethod
     def uniform(cls, lo: float, hi: float, num_bins: int) -> "NodeHistogramSink":
@@ -525,23 +535,26 @@ class NodeHistogramSink(IRDropSink):
         return self.edges.size - 1
 
     def _on_bind(self, compiled: "CompiledGrid", num_scenarios: int) -> None:
-        self._counts = np.zeros((compiled.num_nodes, self.num_bins), dtype=np.int64)
-        self._underflow = np.zeros(compiled.num_nodes, dtype=np.int64)
-        self._overflow = np.zeros(compiled.num_nodes, dtype=np.int64)
+        # One row of slots per node: underflow | bins | overflow | NaN, the
+        # last counted nowhere.
+        width = self.num_bins + 3
+        self._slots = np.zeros((compiled.num_nodes, width), dtype=np.int64)
+        self._node_base = np.arange(compiled.num_nodes, dtype=np.int64) * width
 
     def _consume_drops(self, drops: np.ndarray, scenario_offset: int) -> None:
-        edges = self.edges
-        bins = np.searchsorted(edges, drops, side="right") - 1
-        # numpy.histogram closes the last bin on the right.
-        bins[drops == edges[-1]] = self.num_bins - 1
-        in_range = (drops >= edges[0]) & (drops <= edges[-1])
-        node_of = np.broadcast_to(np.arange(self._num_nodes), drops.shape)
-        flat = node_of[in_range] * self.num_bins + bins[in_range]
-        self._counts += np.bincount(
-            flat, minlength=self._num_nodes * self.num_bins
-        ).reshape(self._num_nodes, self.num_bins)
-        self._underflow += (drops < edges[0]).sum(axis=0)
-        self._overflow += (drops > edges[-1]).sum(axis=0)
+        table = self._slots.reshape(-1)
+        block_rows = max(1, _HISTOGRAM_BLOCK_VALUES // max(1, self._num_nodes))
+        for start in range(0, drops.shape[0], block_rows):
+            block = drops[start : start + block_rows]
+            slots = np.searchsorted(self._slot_edges, block, side="right")
+            if self.edges[-1] == np.inf:
+                # Nothing lies above an infinite last edge: +inf is in range.
+                np.minimum(slots, self.num_bins, out=slots)
+            nan = np.isnan(block)
+            if nan.any():
+                slots[nan] = self.num_bins + 2
+            slots += self._node_base
+            table += np.bincount(slots.ravel(), minlength=table.size)
 
     def snapshot(self) -> SinkSnapshot:
         """Freeze the accumulated per-node counters."""
@@ -549,12 +562,7 @@ class NodeHistogramSink(IRDropSink):
         return SinkSnapshot(
             sink_type=type(self).__name__,
             num_scenarios=self._consumed,
-            state={
-                "edges": self.edges.copy(),
-                "counts": self._counts.copy(),
-                "underflow": self._underflow.copy(),
-                "overflow": self._overflow.copy(),
-            },
+            state={"edges": self.edges.copy(), "slots": self._slots.copy()},
         )
 
     def merge(self, snapshot: SinkSnapshot) -> None:
@@ -562,19 +570,17 @@ class NodeHistogramSink(IRDropSink):
         self._begin_merge(snapshot)
         if not np.array_equal(snapshot.state["edges"], self.edges):
             raise ValueError("cannot merge histograms with different bin edges")
-        self._counts += snapshot.state["counts"]
-        self._underflow += snapshot.state["underflow"]
-        self._overflow += snapshot.state["overflow"]
+        self._slots += snapshot.state["slots"]
         self._finish_merge(snapshot)
 
     def result(self) -> NodeHistogram:
-        """The accumulated per-node histogram."""
+        """The accumulated per-node histogram (views of the live counters)."""
         self._require_bound()
         return NodeHistogram(
             edges=self.edges,
-            counts=self._counts,
-            underflow=self._underflow,
-            overflow=self._overflow,
+            counts=self._slots[:, 1 : self.num_bins + 1],
+            underflow=self._slots[:, 0],
+            overflow=self._slots[:, self.num_bins + 1],
             num_scenarios=self._consumed,
         )
 
@@ -888,12 +894,17 @@ class TopKScenarioSink(IRDropSink):
         Streamed sweeps keep only reductions and sink states; this closes
         the triage loop: the shortlisted scenario indices are regenerated
         one row at a time through ``scenario_source`` (the same pure
-        function of the scenario range the sweep ran on — e.g. a
-        :class:`~repro.analysis.engine.CrossProductScenarioSource` for a
-        mega-sweep) and solved through the unsharded batch path, so each
-        worst offender comes back as a complete
-        :class:`~repro.analysis.irdrop.IRDropResult` with per-node
-        voltages and drops.
+        function of the scenario range the sweep ran on) and solved
+        through the unsharded batch path, so each worst offender comes
+        back as a complete :class:`~repro.analysis.irdrop.IRDropResult`
+        with per-node voltages and drops.
+
+        A :class:`~repro.analysis.engine.CrossProductScenarioSource` — the
+        (loads, pads) of a mega-sweep — replays through the same
+        superposition the sweep ran: the basis is solved again as one
+        block (:meth:`~repro.analysis.engine.BatchedAnalysisEngine.mega_sweep_basis`)
+        and each result is built from the scenario's combined drop row, so
+        it holds exactly the bits the sweep ranked.
 
         Args:
             engine: The analysis engine to solve the replay with (reuses
@@ -910,6 +921,12 @@ class TopKScenarioSink(IRDropSink):
         self._require_bound()
         if self._indices.size == 0:
             return []
+        if names is None:
+            names = tuple(f"scenario {int(index)}" for index in self._indices)
+        from .engine import CrossProductScenarioSource
+
+        if isinstance(scenario_source, CrossProductScenarioSource):
+            return self._replay_superposed(engine, network, scenario_source, names)
         load_rows: list[np.ndarray] = []
         pad_rows: list[np.ndarray] = []
         for index in self._indices:
@@ -930,8 +947,6 @@ class TopKScenarioSink(IRDropSink):
             raise ValueError("scenario source returned neither loads nor pad voltages")
         load_matrix = np.vstack(load_rows) if load_rows else None
         pad_matrix = np.vstack(pad_rows) if pad_rows else None
-        if names is None:
-            names = tuple(f"scenario {int(index)}" for index in self._indices)
         if pad_matrix is not None:
             batch = engine.analyze_pad_batch(
                 network, pad_matrix, load_matrix=load_matrix, names=names
@@ -939,3 +954,33 @@ class TopKScenarioSink(IRDropSink):
         else:
             batch = engine.analyze_batch(network, load_matrix, names=names)
         return batch.results()
+
+    def _replay_superposed(
+        self,
+        engine: "BatchedAnalysisEngine",
+        network: "PowerGridNetwork | CompiledGrid",
+        source: "CrossProductScenarioSource",
+        names: Sequence[str],
+    ) -> "list[IRDropResult]":
+        """Rebuild the shortlist of a mega-sweep from its superposition basis."""
+        from ..grid.compiled import CompiledGrid
+        from .irdrop import IRDropResult
+
+        if len(names) != self._indices.size:
+            raise ValueError(f"expected {self._indices.size} scenario names, got {len(names)}")
+        start = time.perf_counter()
+        compiled = network if isinstance(network, CompiledGrid) else network.compile()
+        basis = engine.mega_sweep_basis(compiled, source.load_matrix, source.pad_voltage_matrix)
+        method = engine.solver_method(compiled)
+        per_result = (time.perf_counter() - start) / self._indices.size
+        return [
+            IRDropResult.from_drops(
+                compiled,
+                basis.drop_rows(index, index + 1)[0],
+                analysis_time=per_result,
+                solver_method=method,
+                solver_iterations=int(basis.iterations(index, index + 1)[0]),
+                name=name,
+            )
+            for index, name in zip(self._indices.tolist(), names)
+        ]

@@ -582,6 +582,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "scenarios with any violation": joint.scenarios_with_violation,
             "P(any node exceeds)": joint.any_exceedance_rate,
             "scenarios / second": result.scenarios_per_second,
+            "basis columns solved (loads + pads)": result.basis_columns,
+            "basis relative residual": result.basis_residual,
             "sweep time (s)": result.analysis_time,
             "solver backend": engine.cache_info().backend,
             "factorizations": engine.cache_info().factorizations,
@@ -637,6 +639,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ],
             "analysis_time_seconds": result.analysis_time,
             "scenarios_per_second": result.scenarios_per_second,
+            "basis_columns": result.basis_columns,
+            "basis_residual": result.basis_residual,
             "solver_backend": engine.cache_info().backend,
             "factorizations": engine.cache_info().factorizations,
         }

@@ -414,8 +414,10 @@ class TestMegaSweep:
             ibmpg1_grid, load_matrix, pad_matrix, chunk_size=chunk_size
         )
         assert result.num_scenarios == 24
-        assert np.array_equal(result.worst_ir_drop, dense_cross.worst_ir_drop)
-        assert np.array_equal(result.average_ir_drop, dense_cross.average_ir_drop)
+        # Superposition rounds differently from the direct solve of each
+        # scenario: the documented contract is 1e-12 V and the same nodes.
+        assert np.max(np.abs(result.worst_ir_drop - dense_cross.worst_ir_drop)) <= 1e-12
+        assert np.max(np.abs(result.average_ir_drop - dense_cross.average_ir_drop)) <= 1e-12
         assert np.array_equal(result.worst_node_index, dense_cross.worst_node_index)
 
     def test_mega_sweep_shares_one_factorization(self, ibmpg1_grid, sweep_matrices):

@@ -135,6 +135,34 @@ def max_voltage_difference(expected: IRDropResult, actual: IRDropResult) -> floa
     )
 
 
+def reference_histogram_fold(
+    edges: np.ndarray, drops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node histogram of ``(c, num_nodes)`` drop rows, counted mask by mask.
+
+    ``numpy.histogram`` semantics per node: bin ``i`` is ``[edges[i],
+    edges[i+1])`` with the last bin closed on the right, values below
+    ``edges[0]`` underflow, values above ``edges[-1]`` overflow and NaN is
+    counted nowhere.  This is the fold :class:`NodeHistogramSink` ran
+    before it binned into one slot table; the sink must match it bitwise.
+
+    Returns:
+        ``(counts, underflow, overflow)``: ``(num_nodes, num_bins)`` and
+        two ``(num_nodes,)`` integer arrays.
+    """
+    edges = np.asarray(edges, dtype=float)
+    num_nodes, num_bins = drops.shape[1], edges.size - 1
+    bins = np.searchsorted(edges, drops, side="right") - 1
+    bins[drops == edges[-1]] = num_bins - 1
+    in_range = (drops >= edges[0]) & (drops <= edges[-1])
+    node_of = np.broadcast_to(np.arange(num_nodes), drops.shape)
+    flat = node_of[in_range] * num_bins + bins[in_range]
+    counts = np.bincount(flat, minlength=num_nodes * num_bins).reshape(num_nodes, num_bins)
+    underflow = (drops < edges[0]).sum(axis=0)
+    overflow = (drops > edges[-1]).sum(axis=0)
+    return counts, underflow, overflow
+
+
 def update_incidence(base, clone) -> tuple[sp.csc_matrix, np.ndarray]:
     """Reduced-space incidence ``B`` and deltas of the branches two grids differ on.
 

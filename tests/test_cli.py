@@ -175,6 +175,9 @@ class TestSweep:
         assert record["num_scenarios"] == 24
         assert record["chunk_size"] == 7
         assert len(record["top_scenarios"]) == 3
+        # The sweep solves 6 + 4 superposition columns, not 24 scenarios.
+        assert record["basis_columns"] == 10
+        assert 0.0 <= record["basis_residual"] <= 1e-10
 
     def test_sweep_bad_arguments_error(self, capsys):
         assert main(["sweep", "ibmpg1", "--gamma", "1.5"]) == 2
