@@ -21,6 +21,7 @@ from repro.analysis import (
     BatchedAnalysisEngine,
     ExecutorIncompatibility,
     MatrixScenarioSource,
+    NodeHistogramSink,
     QuantileSketchSink,
     RemoteExecutor,
     SharedGridPayload,
@@ -37,6 +38,7 @@ from repro.grid import (
     PerturbationKind,
     PerturbationSpec,
     SyntheticIBMSuite,
+    mega_sweep_matrices,
     perturbed_load_matrix,
 )
 from tests.analysis.order_sink import OrderRecordingSink
@@ -325,6 +327,53 @@ class TestRemoteSweeps:
         assert np.array_equal(
             sinks[1].result().scenario_index, seq_sinks[1].result().scenario_index
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mega_sweep_bitwise_identical_to_serial(self, ibmpg1_grid, coordinator, workers):
+        """Remote shards receive the solved superposition basis and only
+        combine its rows, so every reduction and sink matches serial."""
+        bench = SyntheticIBMSuite().load("ibmpg1")
+        load_matrix, pad_matrix = mega_sweep_matrices(
+            ibmpg1_grid, bench.floorplan, 0.2, 6, 4, seed=5
+        )
+
+        def sweep(executor):
+            sinks = (
+                QuantileSketchSink((0.5, 0.9)),
+                TopKScenarioSink(4),
+                NodeHistogramSink.uniform(0.0, 0.05, 8),
+            )
+            engine = BatchedAnalysisEngine()
+            result = engine.analyze_mega_sweep(
+                ibmpg1_grid, load_matrix, pad_matrix, chunk_size=5, sinks=sinks,
+                executor=executor,
+            )
+            return result, sinks, engine
+
+        serial, serial_sinks, _ = sweep("serial")
+        stop, threads = start_workers(coordinator.url, workers)
+        try:
+            executor = RemoteExecutor(
+                workers=workers, coordinator=coordinator.url, timeout=120.0
+            )
+            remote, sinks, engine = sweep(executor)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        assert remote.executor == "remote"
+        assert remote.basis_columns == serial.basis_columns == 10
+        for field in ("worst_ir_drop", "average_ir_drop", "worst_node_index"):
+            assert np.array_equal(getattr(remote, field), getattr(serial, field)), field
+        assert np.array_equal(sinks[0].result().values, serial_sinks[0].result().values)
+        topk, serial_topk = sinks[1].result(), serial_sinks[1].result()
+        assert np.array_equal(topk.scenario_index, serial_topk.scenario_index)
+        assert np.array_equal(topk.worst_ir_drop, serial_topk.worst_ir_drop)
+        histogram, serial_histogram = sinks[2].result(), serial_sinks[2].result()
+        assert np.array_equal(histogram.counts, serial_histogram.counts)
+        assert np.array_equal(histogram.overflow, serial_histogram.overflow)
+        # The parent solved the basis once; the workers solved nothing.
+        assert engine.cache_info().factorizations == 1
 
     def test_poison_payload_fails_the_sweep_instead_of_hanging(self, coordinator):
         stop, threads = start_workers(coordinator.url, 1)

@@ -15,6 +15,8 @@ counts must equal the mask-by-mask fold in :mod:`tests.oracle` bitwise,
 for any strictly ascending edges and any values, NaN and ±inf included.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.analysis import (
     CrossProductScenarioSource,
     ExceedanceCountSink,
     HybridExecutor,
+    IRDropResult,
     JointExceedanceSink,
     LinearSolverError,
     NodeHistogramSink,
@@ -240,6 +243,193 @@ class TestSuperpositionContract:
             assert len(full.node_voltages) == ibmpg1_compiled.num_nodes
 
 
+class TestLinearScenarioBasis:
+    """The basis tables on a small (5 × 4) ibmpg1 cross product."""
+
+    @pytest.fixture(scope="class")
+    def small_matrices(self, ibmpg1_compiled, ibmpg1_bench):
+        return mega_sweep_matrices(ibmpg1_compiled, ibmpg1_bench.floorplan, 0.2, 5, 4, seed=3)
+
+    @pytest.fixture(scope="class")
+    def basis(self, ibmpg1_compiled, small_matrices):
+        return BatchedAnalysisEngine().mega_sweep_basis(ibmpg1_compiled, *small_matrices)
+
+    def test_sizes(self, ibmpg1_compiled, basis):
+        assert basis.num_scenarios == 20
+        assert basis.num_columns == 9
+        assert basis.load_drops.shape == (5, ibmpg1_compiled.num_nodes)
+        assert basis.pad_drops.shape == (4, ibmpg1_compiled.num_nodes)
+        assert basis.drop_rows(0, 20).shape == (20, ibmpg1_compiled.num_nodes)
+
+    def test_scenario_row_is_its_load_row_plus_its_pad_row(self, basis):
+        rows = basis.drop_rows(0, basis.num_scenarios)
+        for scenario in range(basis.num_scenarios):
+            load_row, pad_row = divmod(scenario, 4)
+            expected = basis.load_drops[load_row] + basis.pad_drops[pad_row]
+            assert np.array_equal(rows[scenario], expected), scenario
+
+    @pytest.mark.parametrize("cut", [1, 3, 4, 5, 19])
+    def test_rows_split_anywhere_are_bitwise(self, basis, cut):
+        """A range cut inside a load row's run, on its boundary or next to
+        it joins back to the same bits: the combine is row-local."""
+        whole = basis.drop_rows(0, basis.num_scenarios)
+        split = np.vstack((basis.drop_rows(0, cut), basis.drop_rows(cut, basis.num_scenarios)))
+        assert np.array_equal(split, whole)
+        assert np.array_equal(
+            np.concatenate((basis.iterations(0, cut), basis.iterations(cut, 20))),
+            basis.iterations(0, 20),
+        )
+
+    def test_empty_range(self, ibmpg1_compiled, basis):
+        assert basis.drop_rows(7, 7).shape == (0, ibmpg1_compiled.num_nodes)
+        assert basis.iterations(7, 7).size == 0
+
+    def test_direct_path_reports_no_iterations(self, basis):
+        assert not basis.load_iterations.any()
+        assert not basis.pad_iterations.any()
+        assert not basis.iterations(0, basis.num_scenarios).any()
+
+    def test_load_drops_vanish_on_pad_nodes(self, ibmpg1_compiled, basis):
+        assert not basis.load_drops[:, ibmpg1_compiled.is_pad].any()
+        # Loads draw current, so every unknown node sees a drop.
+        assert (basis.load_drops[:, ~ibmpg1_compiled.is_pad] > 0).all()
+
+    def test_pad_drops_on_pad_nodes_are_vdd_minus_pad_voltage(
+        self, ibmpg1_compiled, small_matrices, basis
+    ):
+        pad_matrix = small_matrices[1]
+        pad_vectors = ibmpg1_compiled.pad_voltage_vectors(pad_matrix)
+        pad_nodes = ibmpg1_compiled.pad_node
+        assert np.array_equal(
+            basis.pad_drops[:, pad_nodes], ibmpg1_compiled.vdd - pad_vectors[:, pad_nodes]
+        )
+
+    def test_zero_loads_and_nominal_pads_drop_nothing(self, ibmpg1_compiled):
+        num_pads = len(ibmpg1_compiled.pad_node)
+        nominal = ibmpg1_compiled.pad_voltage[ibmpg1_compiled.pad_node]
+        basis = BatchedAnalysisEngine().mega_sweep_basis(
+            ibmpg1_compiled,
+            np.zeros((2, ibmpg1_compiled.num_nodes)),
+            np.tile(nominal, (3, 1)).reshape(3, num_pads),
+        )
+        assert not basis.load_drops.any()
+        assert np.max(np.abs(basis.pad_drops)) <= SUPERPOSITION_TOLERANCE_V
+        assert basis.residual <= engine_module.BASIS_RESIDUAL_TOLERANCE
+
+    def test_load_drops_scale_exactly_with_the_loads(
+        self, ibmpg1_compiled, small_matrices, basis
+    ):
+        """Doubling is exact in binary floating point, and so is every
+        step of the triangular solves of a doubled right-hand side."""
+        load_matrix, pad_matrix = small_matrices
+        doubled = BatchedAnalysisEngine().mega_sweep_basis(
+            ibmpg1_compiled, 2.0 * load_matrix, pad_matrix
+        )
+        assert np.array_equal(doubled.load_drops, 2.0 * basis.load_drops)
+        assert np.array_equal(doubled.pad_drops, basis.pad_drops)
+
+    def test_pickle_round_trip_is_bitwise(self, basis):
+        restored = pickle.loads(pickle.dumps(basis, protocol=5))
+        assert np.array_equal(
+            restored.drop_rows(0, basis.num_scenarios), basis.drop_rows(0, basis.num_scenarios)
+        )
+        assert restored.residual == basis.residual
+
+    def test_sweep_reduces_the_basis_rows(self, ibmpg1_compiled, small_matrices, basis):
+        result = BatchedAnalysisEngine().analyze_mega_sweep(
+            ibmpg1_compiled, *small_matrices, chunk_size=3
+        )
+        rows = basis.drop_rows(0, basis.num_scenarios)
+        assert np.array_equal(result.worst_ir_drop, rows.max(axis=1))
+        assert np.array_equal(result.average_ir_drop, rows.mean(axis=1))
+        assert np.array_equal(result.worst_node_index, rows.argmax(axis=1))
+        assert result.basis_residual == basis.residual
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("load-columns", "load_matrix"),
+            ("load-1d", "load_matrix"),
+            ("pad-columns", "pad_voltage_matrix"),
+            ("no-load-rows", "at least one scenario row"),
+            ("no-pad-rows", "at least one scenario row"),
+        ],
+    )
+    def test_rejects_malformed_inputs(self, ibmpg1_compiled, small_matrices, case, match):
+        load_matrix, pad_matrix = small_matrices
+        inputs = {
+            "load-columns": (load_matrix[:, :-1], pad_matrix),
+            "load-1d": (load_matrix[0], pad_matrix),
+            "pad-columns": (load_matrix, pad_matrix[:, 1:]),
+            "no-load-rows": (load_matrix[:0], pad_matrix),
+            "no-pad-rows": (load_matrix, pad_matrix[:0]),
+        }[case]
+        with pytest.raises(ValueError, match=match):
+            BatchedAnalysisEngine().mega_sweep_basis(ibmpg1_compiled, *inputs)
+
+    def test_non_finite_basis_raises(self, ibmpg1_compiled, small_matrices, monkeypatch):
+        def nan_solve(self, rhs):
+            return np.full(rhs.shape, np.nan)
+
+        monkeypatch.setattr(SpluFactorization, "solve", nan_solve)
+        with pytest.raises(LinearSolverError, match="non-finite"):
+            BatchedAnalysisEngine().analyze_mega_sweep(ibmpg1_compiled, *small_matrices)
+
+
+class TestReplayFromDrops:
+    @pytest.fixture(scope="class")
+    def small_matrices(self, ibmpg1_compiled, ibmpg1_bench):
+        return mega_sweep_matrices(ibmpg1_compiled, ibmpg1_bench.floorplan, 0.2, 3, 2, seed=8)
+
+    def test_from_drops_keeps_the_drops_as_given(self, ibmpg1_compiled, small_matrices):
+        basis = BatchedAnalysisEngine().mega_sweep_basis(ibmpg1_compiled, *small_matrices)
+        drops = basis.drop_rows(4, 5)[0]
+        result = IRDropResult.from_drops(
+            ibmpg1_compiled, drops, analysis_time=0.0, solver_method="direct", name="s4"
+        )
+        names = ibmpg1_compiled.node_names
+        assert np.array_equal([result.node_ir_drop[name] for name in names], drops)
+        assert np.array_equal(
+            [result.node_voltages[name] for name in names], ibmpg1_compiled.vdd - drops
+        )
+        assert result.worst_ir_drop == drops.max()
+        assert result.worst_node == names[int(drops.argmax())]
+        assert result.average_ir_drop == drops.mean()
+        assert result.network_name == "s4"
+
+    def test_replay_keeps_the_given_names(self, ibmpg1_compiled, small_matrices):
+        engine = BatchedAnalysisEngine()
+        sink = TopKScenarioSink(2)
+        engine.analyze_mega_sweep(ibmpg1_compiled, *small_matrices, sinks=[sink])
+        replayed = sink.rematerialize(
+            engine, ibmpg1_compiled, CrossProductScenarioSource(*small_matrices),
+            names=("first", "second"),
+        )
+        assert [result.network_name for result in replayed] == ["first", "second"]
+
+    def test_replay_rejects_a_wrong_number_of_names(self, ibmpg1_compiled, small_matrices):
+        engine = BatchedAnalysisEngine()
+        sink = TopKScenarioSink(2)
+        engine.analyze_mega_sweep(ibmpg1_compiled, *small_matrices, sinks=[sink])
+        with pytest.raises(ValueError, match="expected 2 scenario names"):
+            sink.rematerialize(
+                engine, ibmpg1_compiled, CrossProductScenarioSource(*small_matrices),
+                names=("only one",),
+            )
+
+    def test_cg_replay_reports_the_basis_iterations(self, ibmpg1_compiled, small_matrices):
+        engine = BatchedAnalysisEngine(direct_size_limit=1)
+        sink = TopKScenarioSink(3)
+        result = engine.analyze_mega_sweep(ibmpg1_compiled, *small_matrices, sinks=[sink])
+        replayed = sink.rematerialize(
+            engine, ibmpg1_compiled, CrossProductScenarioSource(*small_matrices)
+        )
+        for full, scenario in zip(replayed, sink.result().scenario_index):
+            assert full.solver_method == "cg"
+            assert full.solver_iterations == result.solver_iterations[scenario] > 0
+            assert full.worst_ir_drop == result.worst_ir_drop[scenario]
+
+
 def _random_sweep_inputs(data: st.DataObject, compiled) -> tuple[np.ndarray, np.ndarray]:
     """Random load rows (node loads rescaled) and pad rows around each pad's voltage."""
     num_loads = data.draw(st.integers(min_value=1, max_value=4), label="num_loads")
@@ -371,6 +561,38 @@ def test_histogram_fold_matches_oracle_on_sweep_rows(ibmpg1_compiled, full_matri
     on_values = np.unique(drops[::97, ::13].ravel())[::50]
     for edges in (uniform, non_uniform, on_values):
         _assert_matches_oracle(_fold(edges, drops, [1, 700, 701]), edges, drops)
+
+
+@pytest.mark.parametrize(
+    "edges, value, slot",
+    [
+        ([0.0, 1.0, 2.0], 0.0, "bin 0"),
+        ([0.0, 1.0, 2.0], 1.0, "bin 1"),
+        ([0.0, 1.0, 2.0], 2.0, "bin 1"),
+        ([0.0, 1.0, 2.0], np.nextafter(2.0, np.inf), "overflow"),
+        ([0.0, 1.0, 2.0], np.nextafter(0.0, -np.inf), "underflow"),
+        ([0.0, 1.0, 2.0], np.nan, "nowhere"),
+        ([0.0, 1.0, 2.0], np.inf, "overflow"),
+        ([0.0, 1.0, np.inf], np.inf, "bin 1"),
+        ([-np.inf, 1.0, 2.0], -np.inf, "bin 0"),
+    ],
+    ids=[
+        "first-edge", "interior-edge", "last-edge-closed", "above-last-edge",
+        "below-first-edge", "nan", "inf-finite-edges", "inf-infinite-last-edge",
+        "minus-inf-infinite-first-edge",
+    ],
+)
+def test_histogram_slot_of_a_single_value(edges, value, slot):
+    """Hand-counted slots, numpy.histogram semantics per node."""
+    edges = np.asarray(edges)
+    sink = _fold(edges, np.array([[value]]), [])
+    histogram = sink.result()
+    expected_counts = np.zeros((1, edges.size - 1), dtype=np.int64)
+    if slot.startswith("bin"):
+        expected_counts[0, int(slot.split()[1])] = 1
+    assert np.array_equal(histogram.counts, expected_counts)
+    assert histogram.underflow.tolist() == [int(slot == "underflow")]
+    assert histogram.overflow.tolist() == [int(slot == "overflow")]
 
 
 def test_histogram_rejects_nan_edges():
