@@ -8,7 +8,10 @@ conventional ones (within a couple of mV on their testbed).
 
 This bench prints the Table III rows for the whole synthetic suite, writes
 the four Fig. 8 maps as CSV matrices plus ASCII previews, and times the
-conventional analysis of ibmpg2 (the quantity the DL flow avoids).
+conventional analysis of ibmpg2 (the quantity the DL flow avoids).  Each
+row also carries the exact worst drop of the *predicted* widths (one engine
+solve of the grid built with them), so the error of the width model and the
+error of the Algorithm 2 estimator show up as separate columns.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 from conftest import suite_names
 
 from repro.analysis import BatchedAnalysisEngine, ir_drop_map
-from repro.core import compare_worst_ir_drop, format_table
+from repro.core import IRDropComparison, compare_worst_ir_drop, format_table
+from repro.grid import GridBuilder
 from repro.io import ascii_heatmap, write_csv, write_json, write_matrix
 
 
@@ -28,12 +32,24 @@ def test_table3_worst_case_ir_drop(benchmark, benchmark_cache, results_dir):
     for name in suite_names():
         prepared = benchmark_cache.get(name)
         comparison = compare_worst_ir_drop(prepared.golden_plan, prepared.nominal_prediction)
+        predicted_grid = GridBuilder(prepared.benchmark.technology).build_compiled(
+            prepared.benchmark.floorplan,
+            prepared.benchmark.topology,
+            prepared.nominal_prediction.line_widths,
+        )
+        exact = IRDropComparison(
+            benchmark=name,
+            conventional_mv=comparison.conventional_mv,
+            predicted_mv=BatchedAnalysisEngine().analyze(predicted_grid).worst_ir_drop_mv,
+        )
         rows.append(
             {
                 "benchmark": name,
                 "conventional_mV": round(comparison.conventional_mv, 1),
                 "powerplanningdl_mV": round(comparison.predicted_mv, 1),
                 "relative_error": round(comparison.relative_error, 3),
+                "exact_on_predicted_mV": round(exact.predicted_mv, 1),
+                "exact_relative_error": round(exact.relative_error, 3),
             }
         )
 

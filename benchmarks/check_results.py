@@ -282,11 +282,30 @@ def check_planner_search(record: dict) -> list[str]:
     return problems
 
 
+def check_table4_convergence(record: dict) -> list[str]:
+    # Table IV's bars (a win on every benchmark, growing with size) are
+    # asserted by the bench itself; the record only has to be complete.
+    problems = []
+    for field in ("benchmarks", "speedups", "paper_speedups", "min_speedup"):
+        if field not in record:
+            problems.append(f"record lacks {field!r} — produced by an older bench? re-run it")
+    for name, row in record.get("benchmarks", {}).items():
+        missing = [
+            key
+            for key in ("conventional_s", "dl_width_s", "dl_irdrop_s", "speedup", "paper_speedup")
+            if key not in row
+        ]
+        if missing:
+            problems.append(f"{name} row lacks {missing}")
+    return problems
+
+
 CHECKS = {
     "bench_engine_batched_solve.json": check_engine_batched_solve,
     "bench_planner_iteration.json": check_planner_iteration,
     "bench_mega_sweep_sinks.json": check_mega_sweep_sinks,
     "bench_planner_search.json": check_planner_search,
+    "bench_table4_convergence.json": check_table4_convergence,
 }
 
 SUMMARY_FIELDS = {
@@ -303,6 +322,7 @@ SUMMARY_FIELDS = {
         "remote_speedup",
     ),
     "bench_planner_search.json": ("search_to_baseline_time_to_converged",),
+    "bench_table4_convergence.json": ("speedups", "paper_speedups", "min_speedup"),
 }
 """Key numbers each bench contributes to the compact ``BENCH_summary.json``."""
 

@@ -58,6 +58,10 @@ class RegressionDataset:
             raise ValueError("features and line_ids must have the same number of samples")
         if self.num_lines <= 0:
             raise ValueError("num_lines must be positive")
+        if self.line_ids.size and (
+            self.line_ids.min() < 0 or self.line_ids.max() >= self.num_lines
+        ):
+            raise ValueError(f"line_ids must lie in [0, {self.num_lines})")
 
     @property
     def num_samples(self) -> int:

@@ -9,6 +9,14 @@ each line as a one-dimensional resistive ladder fed at the crossings nearest
 to the supply pads.  This costs O(#segments) instead of a sparse solve over
 the whole grid, which is where the paper's ~6x speedup comes from — at the
 cost of some accuracy, exactly as the paper notes.
+
+The ladders are evaluated once per direction, for all lines of that
+direction together, as ``(lines, segments)`` arrays: feed points come from
+one ``(lines, crossings)`` approach-distance table, each segment is assigned
+to its nearest feed by a forward and a backward fill of the feed indices,
+and the closed-form drops read row-wise prefix sums.  No Python loop runs
+per line.  ``tests/oracle.py`` keeps the one-line-at-a-time loop as the
+reference the arrays must match bitwise.
 """
 
 from __future__ import annotations
@@ -147,72 +155,57 @@ class KirchhoffIRDropEstimator:
 
         v_layer = self.technology.vertical_layer
         h_layer = self.technology.horizontal_layer
+        num_vertical = topology.num_vertical
         num_pads = pad_xs.size
         pad_pitch_x = floorplan.core_width / max(np.sqrt(num_pads), 1.0)
         pad_pitch_y = floorplan.core_height / max(np.sqrt(num_pads), 1.0)
 
-        # Pre-compute the switching current under every segment midpoint of
-        # every line in two vectorised queries (one per direction).
+        # The switching current under every segment midpoint of every line,
+        # in two vectorised queries (one per direction).
         v_positions = np.asarray(topology.vertical_positions)
         h_positions = np.asarray(topology.horizontal_positions)
         v_midpoints = (h_positions[:-1] + h_positions[1:]) / 2.0
         h_midpoints = (v_positions[:-1] + v_positions[1:]) / 2.0
         v_grid_x, v_grid_y = np.meshgrid(v_positions, v_midpoints, indexing="ij")
         h_grid_x, h_grid_y = np.meshgrid(h_midpoints, h_positions, indexing="xy")
-        vertical_local_currents = floorplan.switching_currents_at(v_grid_x, v_grid_y)
-        horizontal_local_currents = floorplan.switching_currents_at(h_grid_x, h_grid_y)
 
-        line_ir_drop = np.zeros(topology.num_lines, dtype=float)
-        segment_ir_drop: list[np.ndarray] = []
-        for line_id in range(topology.num_lines):
-            vertical = topology.is_vertical(line_id)
-            layer = v_layer if vertical else h_layer
-            if vertical:
-                coordinate = topology.vertical_positions[line_id]
-                span_positions = h_positions
-                pad_axis, pad_other = pad_ys, pad_xs
-                pad_reach = pad_pitch_x
-                local_currents = vertical_local_currents[line_id]
-            else:
-                row = line_id - topology.num_vertical
-                coordinate = topology.horizontal_positions[row]
-                span_positions = v_positions
-                pad_axis, pad_other = pad_xs, pad_ys
-                pad_reach = pad_pitch_y
-                local_currents = horizontal_local_currents[row]
+        v_widths = line_widths[:num_vertical]
+        h_widths = line_widths[num_vertical:]
+        carried_currents = line_currents * self.sharing_factor
+        via_resistance = self.technology.via_resistance
+        vertical_drops = self._direction_drops(
+            span_positions=h_positions,
+            line_coordinates=v_positions,
+            pad_axis_positions=pad_ys,
+            pad_other_positions=pad_xs,
+            pad_reach=pad_pitch_x,
+            sheet_resistance=v_layer.sheet_resistance,
+            widths=v_widths,
+            total_currents=carried_currents[:num_vertical],
+            local_currents=floorplan.switching_currents_at(v_grid_x, v_grid_y),
+            approach_resistance_per_um=self._approach_resistance_per_um(h_layer, h_widths),
+            via_resistance=via_resistance,
+        )
+        horizontal_drops = self._direction_drops(
+            span_positions=v_positions,
+            line_coordinates=h_positions,
+            pad_axis_positions=pad_xs,
+            pad_other_positions=pad_ys,
+            pad_reach=pad_pitch_y,
+            sheet_resistance=h_layer.sheet_resistance,
+            widths=h_widths,
+            total_currents=carried_currents[num_vertical:],
+            local_currents=floorplan.switching_currents_at(h_grid_x, h_grid_y),
+            approach_resistance_per_um=self._approach_resistance_per_um(v_layer, v_widths),
+            via_resistance=via_resistance,
+        )
 
-            if vertical:
-                orthogonal_layer = h_layer
-                orthogonal_width = float(np.median(line_widths[topology.num_vertical :]))
-            else:
-                orthogonal_layer = v_layer
-                orthogonal_width = float(np.median(line_widths[: topology.num_vertical]))
-
-            drops = self._line_ladder_drop(
-                span_positions=span_positions,
-                pad_axis_positions=pad_axis,
-                pad_other_positions=pad_other,
-                pad_reach=pad_reach,
-                line_coordinate=coordinate,
-                sheet_resistance=layer.sheet_resistance,
-                width=line_widths[line_id],
-                total_current=line_currents[line_id] * self.sharing_factor,
-                local_currents=local_currents,
-                approach_resistance_per_um=(
-                    self.approach_factor
-                    * orthogonal_layer.sheet_resistance
-                    / max(orthogonal_width, 1e-9)
-                ),
-                via_resistance=self.technology.via_resistance,
-            )
-            segment_ir_drop.append(drops)
-            line_ir_drop[line_id] = drops.max() if drops.size else 0.0
-
+        line_ir_drop = np.concatenate([vertical_drops.max(axis=1), horizontal_drops.max(axis=1)])
         worst_line = int(np.argmax(line_ir_drop))
         elapsed = time.perf_counter() - start
         return IRDropPrediction(
             line_ir_drop=line_ir_drop,
-            segment_ir_drop=segment_ir_drop,
+            segment_ir_drop=[*vertical_drops, *horizontal_drops],
             worst_ir_drop=float(line_ir_drop[worst_line]),
             worst_line=worst_line,
             prediction_time=elapsed,
@@ -234,138 +227,162 @@ class KirchhoffIRDropEstimator:
         """
         if resolution <= 0:
             raise ValueError("resolution must be positive")
-        grid = np.full((resolution, resolution), np.nan)
+        v_positions = np.asarray(topology.vertical_positions)
+        h_positions = np.asarray(topology.horizontal_positions)
+        v_midpoints = (h_positions[:-1] + h_positions[1:]) / 2.0
+        h_midpoints = (v_positions[:-1] + v_positions[1:]) / 2.0
+        # Segment midpoints in prediction order: vertical lines, then
+        # horizontal lines, each line's segments along its span.
+        xs = np.concatenate(
+            [np.repeat(v_positions, v_midpoints.size), np.tile(h_midpoints, h_positions.size)]
+        )
+        ys = np.concatenate(
+            [np.tile(v_midpoints, v_positions.size), np.repeat(h_positions, h_midpoints.size)]
+        )
+        drops = np.concatenate(prediction.segment_ir_drop)
         width = max(floorplan.core_width, 1e-12)
         height = max(floorplan.core_height, 1e-12)
-        for line_id in range(topology.num_lines):
-            drops = prediction.segment_ir_drop[line_id]
-            vertical = topology.is_vertical(line_id)
-            if vertical:
-                x = topology.vertical_positions[line_id]
-                span = np.asarray(topology.horizontal_positions)
-                midpoints_x = np.full(drops.shape, x)
-                midpoints_y = (span[:-1] + span[1:]) / 2.0
-            else:
-                y = topology.horizontal_positions[line_id - topology.num_vertical]
-                span = np.asarray(topology.vertical_positions)
-                midpoints_y = np.full(drops.shape, y)
-                midpoints_x = (span[:-1] + span[1:]) / 2.0
-            x_bins = np.clip((midpoints_x / width * resolution).astype(int), 0, resolution - 1)
-            y_bins = np.clip((midpoints_y / height * resolution).astype(int), 0, resolution - 1)
-            for xb, yb, drop in zip(x_bins, y_bins, drops):
-                current = grid[yb, xb]
-                if np.isnan(current) or drop > current:
-                    grid[yb, xb] = drop
+        x_bins = np.clip((xs / width * resolution).astype(int), 0, resolution - 1)
+        y_bins = np.clip((ys / height * resolution).astype(int), 0, resolution - 1)
+        # ``fmax`` ignores the NaN of an empty bin, keeps the first of two
+        # equal drops and never lets a NaN drop replace a number.
+        grid = np.full((resolution, resolution), np.nan)
+        np.fmax.at(grid, (y_bins, x_bins), drops)
         observed_min = np.nanmin(grid) if np.any(~np.isnan(grid)) else 0.0
         return np.where(np.isnan(grid), observed_min, grid)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _line_ladder_drop(
-        self,
+    def _approach_resistance_per_um(self, orthogonal_layer, orthogonal_widths: np.ndarray) -> float:
+        """Pad-to-line approach resistance per um through the orthogonal layer,
+        at that layer's median width."""
+        orthogonal_width = float(np.median(orthogonal_widths))
+        return (
+            self.approach_factor
+            * orthogonal_layer.sheet_resistance
+            / max(orthogonal_width, 1e-9)
+        )
+
+    @staticmethod
+    def _direction_drops(
         span_positions: np.ndarray,
+        line_coordinates: np.ndarray,
         pad_axis_positions: np.ndarray,
         pad_other_positions: np.ndarray,
         pad_reach: float,
-        line_coordinate: float,
         sheet_resistance: float,
-        width: float,
-        total_current: float,
+        widths: np.ndarray,
+        total_currents: np.ndarray,
         local_currents: np.ndarray,
-        approach_resistance_per_um: float = 0.0,
-        via_resistance: float = 0.0,
+        approach_resistance_per_um: float,
+        via_resistance: float,
     ) -> np.ndarray:
-        """IR drop along one line modelled as a multi-feed 1-D ladder.
+        """IR drops of every line of one direction, ``(lines, segments)``.
 
-        The line's allocated current is distributed over its segments in
-        proportion to the switching current under each segment (uniformly
-        when no block covers the line).  Feed points are the crossings
-        nearest to the pads whose orthogonal distance from the line is
-        within one pad pitch (falling back to the single nearest pad when
-        no pad is that close).  Each segment's tap current flows to its
+        Each line is a multi-feed 1-D ladder over the crossings
+        ``span_positions``.  Its allocated current is distributed over its
+        segments in proportion to the switching current under each segment
+        (uniformly when no block covers the line).  Feed points are the
+        crossings nearest to the pads whose orthogonal distance from the
+        line is within ``pad_reach`` (falling back to the single nearest pad
+        when no pad is that close).  Each segment's tap current flows to its
         nearest feed point; the IR drop accumulates away from each feed as
         ``sum(R_segment * I_carried)`` on top of the feed's *approach drop*
         — the drop incurred reaching the line from the pad through the
         orthogonal layer and the via stack.
         """
-        num_segments = span_positions.size - 1
-        if num_segments <= 0:
-            return np.zeros(0)
+        num_lines = line_coordinates.size
+        num_crossings = span_positions.size
+        num_segments = num_crossings - 1
+        crossings = np.arange(num_crossings)
+        segments = np.arange(num_segments)
 
         midpoints = (span_positions[:-1] + span_positions[1:]) / 2.0
-        lengths = np.diff(span_positions)
-        resistances = sheet_resistance * lengths / width
+        resistances = (sheet_resistance * np.diff(span_positions))[None, :] / widths[:, None]
 
         # Per-segment tap currents proportional to the local switching current.
-        local_currents = np.asarray(local_currents, dtype=float)
-        if local_currents.sum() <= 0:
-            taps = np.full(num_segments, total_current / num_segments)
-        else:
-            taps = total_current * local_currents / local_currents.sum()
-
-        # Feed points: crossings nearest to the pads that are close enough to
-        # supply this line through the orthogonal layer.
-        distance_to_line = np.abs(pad_other_positions - line_coordinate)
-        nearby = distance_to_line <= pad_reach
-        if not np.any(nearby):
-            nearby = distance_to_line == distance_to_line.min()
-        feed_positions = pad_axis_positions[nearby]
-        feed_distances = distance_to_line[nearby]
-        projected = np.argmin(
-            np.abs(span_positions[None, :] - feed_positions[:, None]), axis=1
+        local_totals = local_currents.sum(axis=1)
+        uniform = local_totals <= 0
+        taps = np.where(
+            uniform[:, None],
+            (total_currents / num_segments)[:, None],
+            total_currents[:, None] * local_currents
+            / np.where(uniform, 1.0, local_totals)[:, None],
         )
-        feed_indices, inverse = np.unique(projected, return_inverse=True)
-        # The approach distance of a feed is the closest pad projecting there.
-        approach_distance = np.full(feed_indices.shape, np.inf)
-        np.minimum.at(approach_distance, inverse, feed_distances)
 
-        # Assign every segment to its nearest feed.  Feeds are sorted along
-        # the line, so the assignment splits the segments into contiguous
-        # regions separated at the midpoints between adjacent feeds.
-        feed_span = span_positions[feed_indices]
-        boundaries = (feed_span[:-1] + feed_span[1:]) / 2.0
-        slots = np.searchsorted(boundaries, midpoints)
-        num_slots = feed_indices.size
-        region_start = np.searchsorted(slots, np.arange(num_slots), side="left")
-        region_end = np.searchsorted(slots, np.arange(num_slots), side="right")
+        # Feed points: every pad close enough to a line supplies it at the
+        # crossing its position projects onto; the approach distance of a
+        # feed is that of the closest pad projecting there.
+        distance = np.abs(pad_other_positions[None, :] - line_coordinates[:, None])
+        nearby = distance <= pad_reach
+        stranded = ~nearby.any(axis=1)
+        nearby[stranded] = distance[stranded] == distance[stranded].min(axis=1, keepdims=True)
+        projected = np.argmin(np.abs(span_positions[None, :] - pad_axis_positions[:, None]), axis=1)
+        line_of, pad_of = np.nonzero(nearby)
+        feed_crossing = projected[pad_of]
+        is_feed = np.zeros((num_lines, num_crossings), dtype=bool)
+        is_feed[line_of, feed_crossing] = True
+        approach_distance = np.full((num_lines, num_crossings), np.inf)
+        np.minimum.at(approach_distance, (line_of, feed_crossing), distance[line_of, pad_of])
+
+        # Assign every segment to its nearest feed: the last feed at or
+        # before its left crossing unless the midpoint lies past the
+        # boundary halfway to the first feed at or after its right crossing.
+        before = np.maximum.accumulate(np.where(is_feed, crossings, -1), axis=1)[:, :-1]
+        after = np.minimum.accumulate(
+            np.where(is_feed, crossings, num_crossings)[:, ::-1], axis=1
+        )[:, ::-1][:, 1:]
+        boundary = (
+            span_positions[np.maximum(before, 0)]
+            + span_positions[np.minimum(after, num_segments)]
+        ) / 2.0
+        take_before = (before >= 0) & ((after == num_crossings) | (midpoints <= boundary))
+        feed = np.where(take_before, before, after)
+
+        # Each feed drains one contiguous region [start, end) of segments.
+        first = np.ones((num_lines, num_segments), dtype=bool)
+        first[:, 1:] = feed[:, 1:] != feed[:, :-1]
+        last = np.ones((num_lines, num_segments), dtype=bool)
+        last[:, :-1] = first[:, 1:]
+        region_start = np.maximum.accumulate(np.where(first, segments, 0), axis=1)
+        region_end = np.minimum.accumulate(
+            np.where(last, segments + 1, num_segments)[:, ::-1], axis=1
+        )[:, ::-1]
 
         # Prefix sums that turn the per-region ladder accumulation into a
         # closed form:  T = prefix taps, CR = prefix resistances,
         # CRT[i] = sum_{m<i} R[m] * T[m],  CRT2[i] = sum_{m<i} R[m] * T[m+1].
-        prefix_taps = np.concatenate(([0.0], np.cumsum(taps)))
-        prefix_res = np.concatenate(([0.0], np.cumsum(resistances)))
-        prefix_rt = np.concatenate(([0.0], np.cumsum(resistances * prefix_taps[:-1])))
-        prefix_rt_next = np.concatenate(([0.0], np.cumsum(resistances * prefix_taps[1:])))
-
-        region_current = prefix_taps[region_end] - prefix_taps[region_start]
-        approach_drop = region_current * (
-            approach_resistance_per_um * approach_distance + via_resistance
+        zero = np.zeros((num_lines, 1))
+        prefix_taps = np.concatenate((zero, np.cumsum(taps, axis=1)), axis=1)
+        prefix_res = np.concatenate((zero, np.cumsum(resistances, axis=1)), axis=1)
+        prefix_rt = np.concatenate(
+            (zero, np.cumsum(resistances * prefix_taps[:, :-1], axis=1)), axis=1
+        )
+        prefix_rt_next = np.concatenate(
+            (zero, np.cumsum(resistances * prefix_taps[:, 1:], axis=1)), axis=1
         )
 
-        segment_index = np.arange(num_segments)
-        feed_of_segment = feed_indices[slots]
-        start_of_segment = region_start[slots]
-        end_of_segment = region_end[slots]
-        approach_of_segment = approach_drop[slots]
+        def at(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+            return np.take_along_axis(table, index, axis=1)
 
-        drops = np.empty(num_segments)
-        right = segment_index >= feed_of_segment
-        left = ~right
+        taps_to_end = at(prefix_taps, region_end)
+        taps_to_start = at(prefix_taps, region_start)
+        res_to_feed = at(prefix_res, feed)
+        approach_drop = (taps_to_end - taps_to_start) * (
+            approach_resistance_per_um * at(approach_distance, feed) + via_resistance
+        )
         # Right of the feed: segment j carries the taps of segments j..end-1.
-        drops[right] = (
-            prefix_taps[end_of_segment[right]]
-            * (prefix_res[segment_index[right] + 1] - prefix_res[feed_of_segment[right]])
-            - (prefix_rt[segment_index[right] + 1] - prefix_rt[feed_of_segment[right]])
+        right = taps_to_end * (prefix_res[:, 1:] - res_to_feed) - (
+            prefix_rt[:, 1:] - at(prefix_rt, feed)
         )
         # Left of the feed: segment j carries the taps of segments start..j.
-        drops[left] = (
-            prefix_rt_next[feed_of_segment[left]]
-            - prefix_rt_next[segment_index[left]]
-            - prefix_taps[start_of_segment[left]]
-            * (prefix_res[feed_of_segment[left]] - prefix_res[segment_index[left]])
+        left = (
+            at(prefix_rt_next, feed)
+            - prefix_rt_next[:, :-1]
+            - taps_to_start * (res_to_feed - prefix_res[:, :-1])
         )
-        return drops + approach_of_segment
+        return np.where(segments >= feed, right, left) + approach_drop
 
 
 def pg_line_count(core_width: float, width: float) -> int:

@@ -44,6 +44,19 @@ class TestRegressionDataset:
         subset = dataset.subset_by_vertical_lines([0, 1])
         assert set(np.unique(subset.line_ids[:, 0])) <= {0, 1}
 
+    def test_line_ids_must_address_lines(self):
+        for bad in (-1, 4):
+            line_ids = np.zeros((5, 2), dtype=int)
+            line_ids[2, 1] = bad
+            with pytest.raises(ValueError, match="line_ids"):
+                RegressionDataset(
+                    name="bad",
+                    features=np.zeros((5, 3)),
+                    widths=np.zeros((5, 2)),
+                    line_ids=line_ids,
+                    num_lines=4,
+                )
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             RegressionDataset(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import PowerPlanningDL
-from repro.grid import PerturbationKind
+from repro.core.features import FeatureExtractor
+from repro.grid import FloorplanPerturbator, PerturbationKind
+from tests.oracle import reference_aggregate, reference_kirchhoff_predict
 
 
 class TestTraining:
@@ -39,6 +41,38 @@ class TestPrediction:
         assert predicted.convergence_time > 0
         assert predicted.ir_drop.worst_ir_drop > 0
         assert predicted.name == small_benchmark.floorplan.name
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_predict_design_matches_oracles(self, trained_framework, small_benchmark, seed):
+        """Widths and Algorithm 2 equal the per-line loops bitwise, on the
+        nominal floorplan and on perturbed ones."""
+        floorplan = small_benchmark.floorplan
+        if seed is not None:
+            spec = trained_framework.default_perturbation(gamma=0.2)
+            spec = type(spec)(gamma=spec.gamma, kind=spec.kind, seed=seed)
+            floorplan = FloorplanPerturbator(spec).perturb(floorplan)
+        topology = small_benchmark.topology
+        predicted = trained_framework.predict_design(floorplan, topology)
+
+        width_predictor = trained_framework.width_predictor
+        _, _, line_ids = FeatureExtractor(floorplan, topology).feature_matrix()
+        expected_widths = reference_aggregate(
+            predicted.width_result.sample_widths,
+            line_ids,
+            topology.num_lines,
+            width_predictor.aggregation,
+            width_predictor.rules,
+        )
+        assert np.array_equal(predicted.line_widths, expected_widths)
+
+        expected = reference_kirchhoff_predict(
+            trained_framework.ir_estimator, floorplan, topology, expected_widths
+        )
+        assert np.array_equal(predicted.ir_drop.line_ir_drop, expected.line_ir_drop)
+        for drops, reference in zip(predicted.ir_drop.segment_ir_drop, expected.segment_ir_drop):
+            assert np.array_equal(drops, reference)
+        assert predicted.ir_drop.worst_ir_drop == expected.worst_ir_drop
+        assert predicted.ir_drop.worst_line == expected.worst_line
 
     def test_prediction_faster_than_conventional_flow(self, trained_framework, small_benchmark):
         """The DL path must beat the conventional flow (Table IV's claim).

@@ -6,6 +6,7 @@ import pytest
 from repro.core import WidthPredictor
 from repro.design import DesignRules
 from repro.nn import RegressorConfig, TrainingConfig
+from tests.oracle import reference_aggregate
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +92,50 @@ class TestPrediction:
             results[mode] = predictor.predict_dataset(small_dataset.training).line_widths
         # max aggregation can never be below the median aggregation
         assert np.all(results["max"] >= results["median"] - 1e-9)
+
+
+def _random_samples(seed, num_lines=12, num_samples=60):
+    """Predictions keyed by random line ids: some lines get none, values
+    repeat so runs hold ties."""
+    rng = np.random.default_rng(seed)
+    num_vertical = num_lines // 2
+    line_ids = np.column_stack(
+        [
+            rng.integers(0, num_vertical - 1, num_samples),
+            rng.integers(num_vertical, num_lines - 1, num_samples),
+        ]
+    )
+    sample_widths = np.round(rng.uniform(0.5, 9.0, (num_samples, 2)), 1)
+    return sample_widths, line_ids, num_lines
+
+
+class TestAggregationOracle:
+    """The one-layout aggregation reproduces the per-line mask scan."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("with_rules", [False, True])
+    @pytest.mark.parametrize("aggregation", ["median", "max"])
+    def test_median_and_max_bitwise(self, small_benchmark, seed, with_rules, aggregation):
+        sample_widths, line_ids, num_lines = _random_samples(seed)
+        rules = DesignRules.from_technology(small_benchmark.technology) if with_rules else None
+        predictor = WidthPredictor(RegressorConfig.fast(epochs=1), rules, aggregation)
+        expected = reference_aggregate(sample_widths, line_ids, num_lines, aggregation, rules)
+        assert np.array_equal(predictor._aggregate(sample_widths, line_ids, num_lines), expected)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mean_within_rounding(self, seed):
+        sample_widths, line_ids, num_lines = _random_samples(seed, num_samples=400)
+        predictor = WidthPredictor(RegressorConfig.fast(epochs=1), aggregation="mean")
+        expected = reference_aggregate(sample_widths, line_ids, num_lines, "mean")
+        actual = predictor._aggregate(sample_widths, line_ids, num_lines)
+        np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("aggregation", ["median", "mean", "max"])
+    def test_nan_prediction_poisons_only_its_line(self, aggregation):
+        sample_widths, line_ids, num_lines = _random_samples(3)
+        sample_widths[5, 0] = np.nan
+        predictor = WidthPredictor(RegressorConfig.fast(epochs=1), aggregation=aggregation)
+        expected = reference_aggregate(sample_widths, line_ids, num_lines, aggregation)
+        actual = predictor._aggregate(sample_widths, line_ids, num_lines)
+        assert np.isnan(actual[line_ids[5, 0]])
+        np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=0.0, equal_nan=True)

@@ -1,4 +1,4 @@
-"""Independent reference analysis for the test-suite.
+"""Independent reference implementations for the test-suite.
 
 The analysis engine assembles the reduced nodal system through
 :class:`~repro.grid.compiled.CompiledGrid` (vectorised COO stamping) and
@@ -8,6 +8,15 @@ network, as the pre-compiled assembler did, and solves it with
 ``scipy.sparse.linalg.spsolve``.  Tests compare the engine against it, and
 tests of downstream consumers (EM checks, constraints, branch currents) feed
 on it so that they do not depend on the engine they sit next to.
+
+The DL prediction path has loop references too: Algorithm 2 evaluated one
+line at a time (:func:`reference_kirchhoff_predict`), its Fig. 8
+rasterisation one segment at a time (:func:`reference_kirchhoff_map`) and
+the per-line width aggregation one mask scan per line
+(:func:`reference_aggregate`).  The library evaluates all three as array
+operations over every line of a direction at once and must match these
+bitwise (the mean aggregation within rounding, since it sums in another
+order).
 """
 
 from __future__ import annotations
@@ -20,7 +29,9 @@ import scipy.sparse.linalg as spla
 
 from repro.analysis import IRDropResult
 from repro.analysis.vectorless import VectorlessBudget
-from repro.grid import GROUND_NODE, CurrentSource, PowerGridNetwork
+from repro.core.irdrop_model import IRDropPrediction, KirchhoffIRDropEstimator
+from repro.design.rules import DesignRules
+from repro.grid import GROUND_NODE, CurrentSource, Floorplan, GridTopology, PowerGridNetwork
 
 
 def reference_assemble(network: PowerGridNetwork):
@@ -192,3 +203,244 @@ def update_incidence(base, clone) -> tuple[sp.csc_matrix, np.ndarray]:
         delta.append(float(clone.conductance[branch] - base.conductance[branch]))
     incidence = sp.csc_matrix((data, (rows, cols)), shape=(clone.num_unknowns, len(delta)))
     return incidence, np.asarray(delta)
+
+
+def reference_kirchhoff_predict(
+    estimator: KirchhoffIRDropEstimator,
+    floorplan: Floorplan,
+    topology: GridTopology,
+    line_widths: np.ndarray,
+) -> IRDropPrediction:
+    """Algorithm 2 one line at a time: the loop ``estimator.predict`` replaced.
+
+    Every line is solved as its own multi-feed 1-D ladder by
+    :func:`reference_line_ladder_drop`, with the orthogonal-width median
+    recomputed per line, exactly as the estimator did before it evaluated a
+    whole direction as ``(lines, segments)`` arrays.
+    """
+    line_widths = np.asarray(line_widths, dtype=float)
+    pad_xs = np.asarray([pad.x for pad in floorplan.iter_pads()])
+    pad_ys = np.asarray([pad.y for pad in floorplan.iter_pads()])
+    start = time.perf_counter()
+    line_currents = estimator.allocate_line_currents(floorplan, topology)
+
+    technology = estimator.technology
+    v_layer = technology.vertical_layer
+    h_layer = technology.horizontal_layer
+    num_pads = pad_xs.size
+    pad_pitch_x = floorplan.core_width / max(np.sqrt(num_pads), 1.0)
+    pad_pitch_y = floorplan.core_height / max(np.sqrt(num_pads), 1.0)
+
+    v_positions = np.asarray(topology.vertical_positions)
+    h_positions = np.asarray(topology.horizontal_positions)
+    v_midpoints = (h_positions[:-1] + h_positions[1:]) / 2.0
+    h_midpoints = (v_positions[:-1] + v_positions[1:]) / 2.0
+    v_grid_x, v_grid_y = np.meshgrid(v_positions, v_midpoints, indexing="ij")
+    h_grid_x, h_grid_y = np.meshgrid(h_midpoints, h_positions, indexing="xy")
+    vertical_local_currents = floorplan.switching_currents_at(v_grid_x, v_grid_y)
+    horizontal_local_currents = floorplan.switching_currents_at(h_grid_x, h_grid_y)
+
+    line_ir_drop = np.zeros(topology.num_lines, dtype=float)
+    segment_ir_drop: list[np.ndarray] = []
+    for line_id in range(topology.num_lines):
+        vertical = topology.is_vertical(line_id)
+        layer = v_layer if vertical else h_layer
+        if vertical:
+            coordinate = topology.vertical_positions[line_id]
+            span_positions = h_positions
+            pad_axis, pad_other = pad_ys, pad_xs
+            pad_reach = pad_pitch_x
+            local_currents = vertical_local_currents[line_id]
+            orthogonal_layer = h_layer
+            orthogonal_width = float(np.median(line_widths[topology.num_vertical :]))
+        else:
+            row = line_id - topology.num_vertical
+            coordinate = topology.horizontal_positions[row]
+            span_positions = v_positions
+            pad_axis, pad_other = pad_xs, pad_ys
+            pad_reach = pad_pitch_y
+            local_currents = horizontal_local_currents[row]
+            orthogonal_layer = v_layer
+            orthogonal_width = float(np.median(line_widths[: topology.num_vertical]))
+
+        drops = reference_line_ladder_drop(
+            span_positions=span_positions,
+            pad_axis_positions=pad_axis,
+            pad_other_positions=pad_other,
+            pad_reach=pad_reach,
+            line_coordinate=coordinate,
+            sheet_resistance=layer.sheet_resistance,
+            width=line_widths[line_id],
+            total_current=line_currents[line_id] * estimator.sharing_factor,
+            local_currents=local_currents,
+            approach_resistance_per_um=(
+                estimator.approach_factor
+                * orthogonal_layer.sheet_resistance
+                / max(orthogonal_width, 1e-9)
+            ),
+            via_resistance=technology.via_resistance,
+        )
+        segment_ir_drop.append(drops)
+        line_ir_drop[line_id] = drops.max() if drops.size else 0.0
+
+    worst_line = int(np.argmax(line_ir_drop))
+    return IRDropPrediction(
+        line_ir_drop=line_ir_drop,
+        segment_ir_drop=segment_ir_drop,
+        worst_ir_drop=float(line_ir_drop[worst_line]),
+        worst_line=worst_line,
+        prediction_time=time.perf_counter() - start,
+        line_currents=line_currents,
+    )
+
+
+def reference_line_ladder_drop(
+    span_positions: np.ndarray,
+    pad_axis_positions: np.ndarray,
+    pad_other_positions: np.ndarray,
+    pad_reach: float,
+    line_coordinate: float,
+    sheet_resistance: float,
+    width: float,
+    total_current: float,
+    local_currents: np.ndarray,
+    approach_resistance_per_um: float = 0.0,
+    via_resistance: float = 0.0,
+) -> np.ndarray:
+    """IR drop along one line modelled as a multi-feed 1-D ladder.
+
+    Taps follow the local switching current (uniform when none); feeds are
+    the crossings nearest to the pads within one pad pitch of the line
+    (else the single nearest pad); each segment drains to its nearest feed
+    and the drop accumulates away from the feed on top of the feed's
+    approach drop.
+    """
+    num_segments = span_positions.size - 1
+    if num_segments <= 0:
+        return np.zeros(0)
+
+    midpoints = (span_positions[:-1] + span_positions[1:]) / 2.0
+    lengths = np.diff(span_positions)
+    resistances = sheet_resistance * lengths / width
+
+    local_currents = np.asarray(local_currents, dtype=float)
+    if local_currents.sum() <= 0:
+        taps = np.full(num_segments, total_current / num_segments)
+    else:
+        taps = total_current * local_currents / local_currents.sum()
+
+    distance_to_line = np.abs(pad_other_positions - line_coordinate)
+    nearby = distance_to_line <= pad_reach
+    if not np.any(nearby):
+        nearby = distance_to_line == distance_to_line.min()
+    feed_positions = pad_axis_positions[nearby]
+    feed_distances = distance_to_line[nearby]
+    projected = np.argmin(np.abs(span_positions[None, :] - feed_positions[:, None]), axis=1)
+    feed_indices, inverse = np.unique(projected, return_inverse=True)
+    approach_distance = np.full(feed_indices.shape, np.inf)
+    np.minimum.at(approach_distance, inverse, feed_distances)
+
+    feed_span = span_positions[feed_indices]
+    boundaries = (feed_span[:-1] + feed_span[1:]) / 2.0
+    slots = np.searchsorted(boundaries, midpoints)
+    num_slots = feed_indices.size
+    region_start = np.searchsorted(slots, np.arange(num_slots), side="left")
+    region_end = np.searchsorted(slots, np.arange(num_slots), side="right")
+
+    prefix_taps = np.concatenate(([0.0], np.cumsum(taps)))
+    prefix_res = np.concatenate(([0.0], np.cumsum(resistances)))
+    prefix_rt = np.concatenate(([0.0], np.cumsum(resistances * prefix_taps[:-1])))
+    prefix_rt_next = np.concatenate(([0.0], np.cumsum(resistances * prefix_taps[1:])))
+
+    region_current = prefix_taps[region_end] - prefix_taps[region_start]
+    approach_drop = region_current * (
+        approach_resistance_per_um * approach_distance + via_resistance
+    )
+
+    segment_index = np.arange(num_segments)
+    feed_of_segment = feed_indices[slots]
+    start_of_segment = region_start[slots]
+    end_of_segment = region_end[slots]
+    approach_of_segment = approach_drop[slots]
+
+    drops = np.empty(num_segments)
+    right = segment_index >= feed_of_segment
+    left = ~right
+    drops[right] = (
+        prefix_taps[end_of_segment[right]]
+        * (prefix_res[segment_index[right] + 1] - prefix_res[feed_of_segment[right]])
+        - (prefix_rt[segment_index[right] + 1] - prefix_rt[feed_of_segment[right]])
+    )
+    drops[left] = (
+        prefix_rt_next[feed_of_segment[left]]
+        - prefix_rt_next[segment_index[left]]
+        - prefix_taps[start_of_segment[left]]
+        * (prefix_res[feed_of_segment[left]] - prefix_res[segment_index[left]])
+    )
+    return drops + approach_of_segment
+
+
+def reference_kirchhoff_map(
+    floorplan: Floorplan,
+    topology: GridTopology,
+    prediction: IRDropPrediction,
+    resolution: int = 100,
+) -> np.ndarray:
+    """Fig. 8 rasterisation one segment at a time, keeping the max per bin;
+    empty bins take the minimum observed drop."""
+    grid = np.full((resolution, resolution), np.nan)
+    width = max(floorplan.core_width, 1e-12)
+    height = max(floorplan.core_height, 1e-12)
+    for line_id in range(topology.num_lines):
+        drops = prediction.segment_ir_drop[line_id]
+        if topology.is_vertical(line_id):
+            x = topology.vertical_positions[line_id]
+            span = np.asarray(topology.horizontal_positions)
+            midpoints_x = np.full(drops.shape, x)
+            midpoints_y = (span[:-1] + span[1:]) / 2.0
+        else:
+            y = topology.horizontal_positions[line_id - topology.num_vertical]
+            span = np.asarray(topology.vertical_positions)
+            midpoints_y = np.full(drops.shape, y)
+            midpoints_x = (span[:-1] + span[1:]) / 2.0
+        x_bins = np.clip((midpoints_x / width * resolution).astype(int), 0, resolution - 1)
+        y_bins = np.clip((midpoints_y / height * resolution).astype(int), 0, resolution - 1)
+        for xb, yb, drop in zip(x_bins, y_bins, drops):
+            current = grid[yb, xb]
+            if np.isnan(current) or drop > current:
+                grid[yb, xb] = drop
+    observed_min = np.nanmin(grid) if np.any(~np.isnan(grid)) else 0.0
+    return np.where(np.isnan(grid), observed_min, grid)
+
+
+def reference_aggregate(
+    sample_widths: np.ndarray,
+    line_ids: np.ndarray,
+    num_lines: int,
+    aggregation: str = "median",
+    rules: DesignRules | None = None,
+) -> np.ndarray:
+    """Per-line width aggregation by one mask scan per line.
+
+    Column 0 of ``sample_widths`` is keyed by ``line_ids[:, 0]`` (vertical
+    lines), column 1 by ``line_ids[:, 1]`` (horizontal lines); a line with
+    no sample takes the median of every prediction.
+    """
+    line_widths = np.empty(num_lines, dtype=float)
+    fallback = float(np.median(sample_widths))
+    for line_id in range(num_lines):
+        values_v = sample_widths[line_ids[:, 0] == line_id, 0]
+        values_h = sample_widths[line_ids[:, 1] == line_id, 1]
+        values = np.concatenate([values_v, values_h])
+        if values.size == 0:
+            line_widths[line_id] = fallback
+            continue
+        if aggregation == "median":
+            line_widths[line_id] = float(np.median(values))
+        elif aggregation == "mean":
+            line_widths[line_id] = float(np.mean(values))
+        else:
+            line_widths[line_id] = float(np.max(values))
+    if rules is not None:
+        line_widths = rules.legalize_widths(line_widths)
+    return line_widths
